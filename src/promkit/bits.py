@@ -178,6 +178,19 @@ class AliasSampler:
         return np.where(take_alias, self.alias[i], i)
 
 
+def sample_independent_bits(rng: np.random.Generator, probs, size: int) -> np.ndarray:
+    """``size`` packed indices whose bit j is set with probability probs[j],
+    independently across bits and draws."""
+    u = rng.random((size, len(probs)))
+    bits = np.empty(u.shape, dtype=bool)
+    # one scalar compare per column: a broadcast compare against the probs
+    # vector allocates a ufunc buffer on every call, which raised the peak
+    # RSS of two-worker runs
+    for j, p in enumerate(np.asarray(probs, dtype=np.float64).tolist()):
+        np.less(u[:, j], p, out=bits[:, j])
+    return bits_to_index(bits)
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for a (seed, key...) tuple.
 

@@ -83,14 +83,6 @@ def rz(theta: float, q: int) -> Gate:
     return Gate("rz", (q,), np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]]))
 
 
-def u1q(matrix, q: int, name: str = "u") -> Gate:
-    """Arbitrary single-qubit gate from an explicit 2x2 matrix."""
-    m = np.asarray(matrix)
-    if m.shape != (2, 2):
-        raise ValueError("single-qubit matrix must be 2x2")
-    return Gate(name, (q,), m)
-
-
 def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target), None)
 
@@ -323,10 +315,15 @@ class TerminalSetting:
 
 @dataclass
 class DynamicCircuit:
+    """``aggregate`` optionally names a quantity derived from every setting:
+    (name, scale), estimated as scale times the sum of all observables'
+    expectations (e.g. a GHZ fidelity from its stabilizers)."""
+
     n: int
     prep: tuple[Gate, ...] = ()
     layers: tuple[FeedforwardLayer, ...] = ()
     settings: tuple[TerminalSetting, ...] = ()
+    aggregate: tuple[str, float] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -363,10 +360,6 @@ class DynamicCircuit:
             body.extend(layer.pre_gates)
             body.extend(layer.post_gates)
         return sum(1 for g in body if g.name == "cx")
-
-    def measurement_count(self) -> int:
-        """Mid-circuit measured bits (one per measured qubit, per layer)."""
-        return self.m
 
     def two_qubit_depth(self) -> int:
         """Greedy ASAP depth counting only two-qubit gates."""

@@ -12,26 +12,38 @@ Exit codes: 0 ok, 1 usage or schema error, 2 singular channel, 3 size cap.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import config as configmod
 from . import experiments, oracle
 from .bits import SizeCapError
-from .mitigation import (GeneralWeights, SingularChannelError, shot_budget,
-                         overhead_bound)
-from .readout import GeneralModel, LayeredModel, TensoredModel, UniformModel
+from .mitigation import (GeneralWeights, LayeredWeights, SingularChannelError,
+                         TensoredWeights, overhead_bound, shot_budget,
+                         solve_weights)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _file_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", required=True, help="JSON config file")
+    sub.add_argument("--out", default=None, help="override config output path")
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="JSON config file")
+    _file_flags(sub)
     sub.add_argument("--seed", type=int, default=None, help="override config seed")
     sub.add_argument("--shots", type=int, default=None, help="override config shots")
     sub.add_argument("--trials", type=int, default=None, help="override config trials")
-    sub.add_argument("--workers", type=int, default=1, help="shot-batch worker threads")
-    sub.add_argument("--out", default=None, help="override config output path")
+    sub.add_argument("--workers", type=positive_int, default=1,
+                     help="shot-batch worker threads (at least 1)")
 
 
 def _load(args: argparse.Namespace) -> dict:
@@ -65,9 +77,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load(args)
     circuit = configmod.build_circuit(cfg["experiment"], cfg["parameters"])
-    if cfg["experiment"] == "ghz":
-        circuit = replace(circuit, settings=tuple(
-            experiments.ghz_stabilizer_settings(circuit.n)))
     noise = configmod.build_noise(cfg["noise"])
     if noise is not None and noise.model is None and noise.matrices is None:
         raise configmod.ConfigError("oracle needs model-style noise (or none)")
@@ -102,54 +111,31 @@ def _noise_spec_of(raw: dict) -> dict:
     return raw["noise"] if "noise" in raw and "kind" not in raw else raw
 
 
-def _part_entries(model) -> list[dict]:
-    if isinstance(model, LayeredModel):
-        out = []
-        for part in model.parts:
-            out.extend(_part_entries(part))
-        return out
-    if isinstance(model, UniformModel):
-        r = model.rate
-        return [{"kind": "uniform", "m": model.m, "rate": r,
-                 "alpha_bit": [(1 - r) / (1 - 2 * r), -r / (1 - 2 * r)],
-                 "xi": abs(1 / (1 - 2 * r)) ** model.m}]
-    if isinstance(model, TensoredModel):
-        rates = [float(r) for r in model.rates]
-        bits = [[(1 - r) / (1 - 2 * r), -r / (1 - 2 * r)] for r in rates]
-        return [{"kind": "tensored", "rates": rates, "alpha_bits": bits,
-                 "xi": float(np.prod([1 / abs(1 - 2 * r) for r in rates]))}]
-    q = model.expand() if hasattr(model, "expand") else np.asarray(model)
-    w = GeneralWeights(q)
-    return [{"kind": "general", "q": np.asarray(q).tolist(),
-             "alpha": w.alpha().tolist(), "xi": w.xi}]
+def _part_entries(weights) -> list[dict]:
+    if isinstance(weights, LayeredWeights):
+        return [entry for part in weights.parts for entry in _part_entries(part)]
+    if isinstance(weights, TensoredWeights):
+        return [{"kind": "tensored", "rates": weights.rates.tolist(),
+                 "alpha_bits": weights.alpha_bits.tolist(), "xi": weights.xi}]
+    return [{"kind": "general", "q": weights.q.tolist(),
+             "alpha": weights.alpha().tolist(), "xi": weights.xi}]
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
-    import json
-
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise configmod.ConfigError(f"cannot read {args.config}: {exc}") from exc
-    spec = _noise_spec_of(raw)
-    noise = configmod.build_noise(spec)
-    if noise is None or (noise.model is None and noise.matrices is None):
+    noise = configmod.build_noise(_noise_spec_of(raw))
+    if noise is None:
         raise configmod.ConfigError("weights needs a noise spec with a model")
-    if noise.model is not None:
-        parts = [noise.model]
-    else:
-        if not noise.bfa:
-            raise configmod.ConfigError("asymmetric noise needs bfa: true")
-        parts = [GeneralModel(mat.symmetrize()) for mat in noise.matrices]
-    model = parts[0] if len(parts) == 1 else LayeredModel(parts)
-
-    entries = _part_entries(model)
-    xi = float(np.prod([e["xi"] for e in entries]))
+    model = configmod.symmetrized_model(noise)
+    weights = solve_weights(model)
     eta = model.total_error()
-    payload = {"xi": xi, "eta": eta, "parts": entries,
+    payload = {"xi": weights.xi, "eta": eta, "parts": _part_entries(weights),
                "overhead_bound": overhead_bound(eta) if eta < 0.5 else None,
-               "shots_per_noiseless_shot": shot_budget(xi, 1)}
+               "shots_per_noiseless_shot": shot_budget(weights.xi, 1)}
     _emit(payload, args.out)
     return 0
 
@@ -159,9 +145,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     noise = configmod.build_noise(cfg["noise"])
     if noise is None:
         raise configmod.ConfigError("calibrate needs a noise spec")
-    if cfg["experiment"] == "calibration":
-        m = int(cfg["parameters"]["m"])
-    elif noise.model is not None:
+    if noise.model is not None:
         m = noise.model.m
     else:
         m = sum(mat.m_bits for mat in noise.matrices)
@@ -222,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("calibrate", cmd_calibrate, "estimate the syndrome channel from shots"),
             ("bench", cmd_bench, "compare mitigation strategies")):
         sp = sub.add_parser(name, help=desc)
-        _common_flags(sp)
+        (_file_flags if func is cmd_weights else _common_flags)(sp)
         sp.set_defaults(func=func)
     return parser
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,11 +17,12 @@ from . import experiments
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                        TerminalSetting, ZeroProjector, cx, h, rx, ry, rz, s,
                        sdg, x, y, z)
-from .mitigation import (GeneralWeights, LayeredWeights, MitigationWeights,
-                         TensoredWeights, UniformWeights, solve_weights)
+from .mitigation import (GeneralWeights, MitigationWeights, TensoredWeights,
+                         solve_weights)
 from .readout import (ConfusionMatrix, GeneralModel, LayeredModel,
                       SyndromeModel, TensoredModel, UniformModel)
-from .simulator import NoiseInjector, estimate_observables, run_shots
+from .simulator import (NoiseInjector, aggregate_estimate, estimate_observables,
+                        run_shots)
 
 
 class ConfigError(ValueError):
@@ -70,8 +70,14 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("'out' must be a path string")
     # normalized below by build_* functions; validate eagerly so errors
     # surface before any shots run
-    build_circuit(cfg["experiment"], cfg["parameters"])
-    build_noise(cfg["noise"])
+    circuit = build_circuit(cfg["experiment"], cfg["parameters"])
+    noise = build_noise(cfg["noise"])
+    if noise is not None:
+        try:
+            for setting in circuit.settings:
+                noise.validate_for(circuit, setting)
+        except ValueError as exc:
+            raise ConfigError(f"noise does not fit '{cfg['experiment']}': {exc}") from exc
     _validate_mitigation(cfg["mitigation"])
     return cfg
 
@@ -257,16 +263,17 @@ def _validate_mitigation(spec) -> dict:
     raise ConfigError(f"unknown mitigation mode {mode!r}")
 
 
-def _symmetrized_parts(noise: NoiseInjector) -> list[SyndromeModel]:
+def symmetrized_model(noise: NoiseInjector) -> SyndromeModel:
+    """The symmetrized channel that prom-* weights invert: the noise model
+    itself, or the bit-flip-averaged confusion matrices, one part each."""
     if noise.model is not None:
-        if isinstance(noise.model, LayeredModel):
-            return list(noise.model.parts)
-        return [noise.model]
+        return noise.model
     if noise.matrices is not None:
         if not noise.bfa:
-            raise ConfigError("prom mitigation of asymmetric noise requires "
+            raise ConfigError("asymmetric noise can only be inverted under "
                               "bit-flip averaging (bfa: true)")
-        return [GeneralModel(mat.symmetrize()) for mat in noise.matrices]
+        parts = [GeneralModel(mat.symmetrize()) for mat in noise.matrices]
+        return parts[0] if len(parts) == 1 else LayeredModel(parts)
     raise ConfigError("prom mitigation needs a noise model to invert")
 
 
@@ -282,23 +289,16 @@ def build_mitigation(spec, circuit: DynamicCircuit,
         return experiments.apply_rep_strategy(circuit, spec["repeat"], spec["consensus"]), None
     if noise is None:
         raise ConfigError("prom mitigation needs a noise spec")
-    parts = _symmetrized_parts(noise)
-    layered = LayeredWeights([solve_weights(p) for p in parts])
+    model = symmetrized_model(noise)
     if mode == "prom-layered":
-        return circuit, layered
+        return circuit, solve_weights(model)
     if mode == "prom-general":
-        joint = parts[0] if len(parts) == 1 else LayeredModel(parts)
-        return circuit, GeneralWeights(joint.expand())
+        return circuit, GeneralWeights(model.expand())
     # prom-tensored: every part must factor over bits
-    factors: list[float] = []
-    for part in parts:
-        if isinstance(part, UniformModel):
-            factors.extend([part.rate] * part.m)
-        elif isinstance(part, TensoredModel):
-            factors.extend(float(r) for r in part.rates)
-        else:
-            raise ConfigError("prom-tensored needs uniform or per-bit noise")
-    return circuit, TensoredWeights(factors)
+    parts = model.parts if isinstance(model, LayeredModel) else [model]
+    if not all(isinstance(part, TensoredModel) for part in parts):
+        raise ConfigError("prom-tensored needs uniform or per-bit noise")
+    return circuit, TensoredWeights(np.concatenate([part.rates for part in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +317,6 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
     circuit = build_circuit(cfg["experiment"], cfg["parameters"])
     noise = build_noise(cfg["noise"])
     circuit, weights = build_mitigation(cfg["mitigation"], circuit, noise)
-    if cfg["experiment"] == "ghz":
-        circuit = replace(circuit, settings=tuple(
-            experiments.ghz_stabilizer_settings(circuit.n)))
     if not circuit.settings:
         raise ConfigError(f"experiment '{cfg['experiment']}' defines no "
                           "terminal settings to estimate")
@@ -331,13 +328,13 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
 
     trials = []
     for trial in range(cfg["trials"]):
-        per_setting = []
-        ghz_results, ghz_values = [], []
+        per_setting, results = [], []
         for index, setting in enumerate(circuit.settings):
             result = run_shots(circuit, setting, cfg["shots"], noise=noise,
                                weights=weights, seed=cfg["seed"],
                                trial=_setting_trial_stream(trial, index, len(circuit.settings)),
                                workers=workers)
+            results.append(result)
             estimates = estimate_observables(result, terminal_q=terminal_q)
             per_setting.append({
                 "setting": setting.name,
@@ -348,16 +345,11 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
                                "estimate": e.estimate,
                                "stderr": e.stderr} for e in estimates],
             })
-            if cfg["experiment"] == "ghz":
-                ghz_results.append(result)
-                ghz_values.append(np.sum([vals for _, vals in setting.value_table()],
-                                         axis=0))
         entry = {"trial": trial, "settings": per_setting}
-        if cfg["experiment"] == "ghz":
-            from .simulator import aggregate_estimate
-            f_est, f_err = aggregate_estimate(ghz_results, ghz_values,
-                                              scale=2.0 ** -circuit.n)
-            entry["derived"] = {"fidelity": f_est, "fidelity_stderr": f_err}
+        if circuit.aggregate is not None:
+            name, scale = circuit.aggregate
+            estimate, stderr = aggregate_estimate(results, scale=scale)
+            entry["derived"] = {name: estimate, f"{name}_stderr": stderr}
         trials.append(entry)
 
     record = {
@@ -366,7 +358,7 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
         "circuit": {"n": circuit.n,
                     "mid_circuit_bits": circuit.m,
                     "cx_count": circuit.cx_count(),
-                    "measurement_count": circuit.measurement_count(),
+                    "measurement_count": circuit.m,
                     "two_qubit_depth": circuit.two_qubit_depth()},
         "xi": weights.xi if weights is not None else 1.0,
         "trials": trials,
@@ -394,11 +386,12 @@ def record_rows(record: dict) -> list[dict]:
                              "xi": record["xi"],
                              "shots_accepted": per_setting["accepted"],
                              "shots_discarded": per_setting["discarded"]})
-        if "derived" in entry:
+        derived = entry.get("derived", {})
+        for name in [key for key in derived if not key.endswith("_stderr")]:
             rows.append({"trial": entry["trial"],
-                         "observable": "fidelity",
-                         "estimate": entry["derived"]["fidelity"],
-                         "stderr": entry["derived"]["fidelity_stderr"],
+                         "observable": name,
+                         "estimate": derived[name],
+                         "stderr": derived[f"{name}_stderr"],
                          "xi": record["xi"],
                          "shots_accepted": sum(s["accepted"] for s in entry["settings"]),
                          "shots_discarded": sum(s["discarded"] for s in entry["settings"])})

@@ -12,8 +12,8 @@ import numpy as np
 from . import oracle, simulator
 from .bits import index_to_bits
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
-                       TerminalSetting, ZeroProjector, cx, h, ry, rx, rz, x,
-                       xor_feedback_table)
+                       TerminalSetting, ZeroProjector, cx, h, ry, rx, rz, sdg,
+                       x, xor_feedback_table, z)
 from .readout import calibrate
 from .simulator import NoiseInjector, RunResult, run_shots
 
@@ -66,7 +66,7 @@ def build_unitary_ghz(n: int) -> DynamicCircuit:
     """GHZ_n by unitary fan-out: n-1 CX, two-qubit depth ceil(n/2)."""
     if n < 2:
         raise ValueError("need at least two qubits")
-    return DynamicCircuit(n=n, prep=_fanout(tuple(range(n))))
+    return DynamicCircuit(n=n, prep=_fanout(tuple(range(n))), **_ghz_readout(n))
 
 
 def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
@@ -110,37 +110,32 @@ def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
     absorb = tuple(cx(blocks[i][-1], ancillas[i]) for i in range(b))
     layer = FeedforwardLayer(measured=measured, table=tuple(table),
                              pre_gates=tuple(parity_checks), post_gates=absorb)
-    return DynamicCircuit(n=b * stride, prep=tuple(prep), layers=(layer,))
-
-
-def ghz_qubit_count(b: int, p: int) -> int:
-    return b * (p + 1)
+    return DynamicCircuit(n=b * stride, prep=tuple(prep), layers=(layer,),
+                          **_ghz_readout(b * stride))
 
 
 # ---------------------------------------------------------------------------
 # GHZ stabilizers and fidelity
 
-def _even_weight_masks(n: int):
-    for v in range(1 << n):
-        if int(v).bit_count() % 2 == 0:
-            yield v
+_Z_STRING = str.maketrans("01", "IZ")
+_XY_STRING = str.maketrans("01", "XY")
 
 
-def ghz_stabilizers(n: int) -> list[PauliString]:
-    """The 2**n stabilizers of GHZ_n.
+def _ghz_stabilizer_labels(n: int) -> list[tuple[str, int]]:
+    """(label, sign) of the 2**n stabilizers of GHZ_n, Z-strings first.
 
     Z-strings of even weight, plus X/Y-strings with Y on an even-size subset
     and sign (-1)^(|Y subset| / 2).
     """
-    out = []
-    for v in _even_weight_masks(n):
-        bits = index_to_bits(v, n)
-        out.append(PauliString("".join("Z" if bt else "I" for bt in bits)))
-    for v in _even_weight_masks(n):
-        bits = index_to_bits(v, n)
-        sign = -1 if (int(v).bit_count() // 2) % 2 else 1
-        out.append(PauliString("".join("Y" if bt else "X" for bt in bits), sign=sign))
-    return out
+    even = [format(v, f"0{n}b") for v in range(1 << n) if v.bit_count() % 2 == 0]
+    return ([(bits.translate(_Z_STRING), 1) for bits in even]
+            + [(bits.translate(_XY_STRING), -1 if bits.count("1") % 4 else 1)
+               for bits in even])
+
+
+def ghz_stabilizers(n: int) -> list[PauliString]:
+    """The 2**n stabilizers of GHZ_n."""
+    return [PauliString(label, sign=sign) for label, sign in _ghz_stabilizer_labels(n)]
 
 
 def ghz_fidelity(expectations) -> float:
@@ -155,24 +150,27 @@ def ghz_stabilizer_settings(n: int) -> list[TerminalSetting]:
     All Z-strings share the computational basis; each X/Y-string needs its
     own per-qubit basis (H, or Sdg+H where it has a Y).
     """
-    settings = []
-    z_obs = []
-    for v in _even_weight_masks(n):
-        bits = index_to_bits(v, n)
-        label = "".join("Z" if bt else "I" for bt in bits)
-        z_obs.append((label, PauliString(label)))
-    settings.append(TerminalSetting(name="z", measured=tuple(range(n)),
-                                    observables=tuple(z_obs)))
-    for v in _even_weight_masks(n):
-        bits = index_to_bits(v, n)
-        sign = -1 if (int(v).bit_count() // 2) % 2 else 1
-        label = "".join("Y" if bt else "X" for bt in bits)
-        ob = PauliString(label, sign=sign)
+    labels = _ghz_stabilizer_labels(n)
+    z_labels, xy_labels = labels[:len(labels) // 2], labels[len(labels) // 2:]
+    measured = tuple(range(n))
+    hs = [h(q) for q in measured]
+    basis = {"X": [(g,) for g in hs], "Y": [(sdg(q), g) for q, g in enumerate(hs)]}
+    settings = [TerminalSetting(
+        name="z", measured=measured,
+        observables=tuple((label, PauliString(label)) for label, _ in z_labels))]
+    for label, sign in xy_labels:
         name = ("-" if sign < 0 else "") + label
-        settings.append(TerminalSetting(name=name, measured=tuple(range(n)),
-                                        observables=((name, ob),),
-                                        basis_gates=ob.basis_gates()))
+        settings.append(TerminalSetting(
+            name=name, measured=measured,
+            observables=((name, PauliString(label, sign=sign)),),
+            basis_gates=tuple(g for q, p in enumerate(label) for g in basis[p][q])))
     return settings
+
+
+def _ghz_readout(n: int) -> dict:
+    """Settings covering every GHZ_n stabilizer, and the fidelity derived
+    from them: 2^-n times the sum of all stabilizer expectations."""
+    return {"settings": ghz_stabilizer_settings(n), "aggregate": ("fidelity", 2.0 ** -n)}
 
 
 def exact_ghz_fidelity(circuit: DynamicCircuit) -> float:
@@ -187,19 +185,14 @@ def run_ghz_fidelity(circuit: DynamicCircuit, shots_per_setting: int, *,
                      seed: int = 0, workers: int = 1) -> tuple[float, float, list[RunResult]]:
     """Shot-based stabilizer fidelity; returns (F, stderr, per-setting results).
 
-    Settings are run on independent shot batches; stabilizers sharing a
-    setting are read from the same shots and their per-shot sum is treated as
-    one aggregate, so the combined stderr is exact.
+    Settings are run on independent shot batches, as trial 0 of
+    ``config.run_config`` runs them (see ``simulator.aggregate_estimate``).
     """
-    n = circuit.n
-    results, value_vectors = [], []
-    for setting in ghz_stabilizer_settings(n):
-        run_circuit = replace(circuit, settings=(setting,))
-        res = run_shots(run_circuit, setting, shots_per_setting, noise=noise,
-                        weights=weights, seed=seed, trial=len(results), workers=workers)
-        results.append(res)
-        value_vectors.append(np.sum([vals for _, vals in setting.value_table()], axis=0))
-    f_est, f_err = simulator.aggregate_estimate(results, value_vectors, scale=2.0 ** -n)
+    circuit = replace(circuit, **_ghz_readout(circuit.n))
+    results = [run_shots(circuit, setting, shots_per_setting, noise=noise,
+                         weights=weights, seed=seed, trial=index, workers=workers)
+               for index, setting in enumerate(circuit.settings)]
+    f_est, f_err = simulator.aggregate_estimate(results, scale=circuit.aggregate[1])
     return f_est, f_err, results
 
 
@@ -230,7 +223,7 @@ def build_teleport_circuit(k: int, phi_x: float = math.pi / 8,
             if v & 1:          # bit of the middle qubit
                 gates.append(x(dst))
             if v >> 1:         # bit of the source qubit
-                gates.append(Gate("z", (dst,), np.array([[1.0, 0.0], [0.0, -1.0]])))
+                gates.append(z(dst))
             table.append(tuple(gates))
         layers.append(FeedforwardLayer(measured=(src, mid), table=tuple(table),
                                        pre_gates=(cx(src, mid), h(src))))

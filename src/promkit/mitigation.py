@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import AliasSampler, check_size, fwht, num_bits
-from .readout import (GeneralModel, LayeredModel, SyndromeModel,
-                      TensoredModel, UniformModel)
+from .bits import (AliasSampler, check_size, fwht, num_bits, parity,
+                   sample_independent_bits)
+from .readout import GeneralModel, LayeredModel, SyndromeModel, TensoredModel
 
 SINGULAR_ATOL = 1e-12
 
@@ -59,9 +59,9 @@ class GeneralWeights(MitigationWeights):
     """Weights for an arbitrary joint q; O(m 2**m) init, O(1) per draw."""
 
     def __init__(self, q):
-        q = np.asarray(q, dtype=np.float64)
-        self.m = num_bits(q.size)
-        self._alpha = _solve_alpha(q)
+        self.q = np.asarray(q, dtype=np.float64)
+        self.m = num_bits(self.q.size)
+        self._alpha = _solve_alpha(self.q)
         self.xi = float(np.abs(self._alpha).sum())
         self._signs = np.where(self._alpha < 0, -1, 1).astype(np.int8)
         self._sampler = AliasSampler(np.abs(self._alpha) / self.xi)
@@ -75,61 +75,47 @@ class GeneralWeights(MitigationWeights):
 
 
 class TensoredWeights(MitigationWeights):
-    """Per-bit closed form: alpha_bit = [1-r, -r] / (1-2r); O(m) everything."""
+    """Per-bit closed form: alpha_bit = [1-r, -r] / (1-2r); O(m) everything.
+
+    |1-r| + |r| = 1 on [0, 1], so each bit's xi factor is 1/|1-2r| and its
+    mask bit flips with probability r.  A flip carries a negative weight
+    when r < 1/2, a non-flip when r > 1/2, so a mask's sign is the parity
+    of its flips, inverted when an odd number of rates exceed 1/2.
+    """
 
     def __init__(self, rates):
-        rates = np.asarray(rates, dtype=np.float64)
-        if np.any(np.abs(1.0 - 2.0 * rates) < SINGULAR_ATOL):
+        self.rates = np.asarray(rates, dtype=np.float64)
+        self.m = self.rates.size
+        # plain floats: m is small, and weights are solved on every config set-up
+        denoms = [1.0 - 2.0 * r for r in self.rates.tolist()]
+        if any(abs(d) < SINGULAR_ATOL for d in denoms):
             raise SingularChannelError("a per-bit flip rate of 1/2 is not invertible")
-        self.m = rates.size
-        self.rates = rates
-        denom = 1.0 - 2.0 * rates
-        self._alpha_bits = np.stack([(1.0 - rates) / denom, -rates / denom])  # (2, m)
-        abs_bits = np.abs(self._alpha_bits)
-        self._xi_bits = abs_bits.sum(axis=0)
-        self.xi = float(np.prod(self._xi_bits))
-        self._p_flip = abs_bits[1] / self._xi_bits
-        self._sign_bits = np.where(self._alpha_bits < 0, -1, 1).astype(np.int8)  # (2, m)
+        self.xi = math.prod(1.0 / abs(d) for d in denoms)
+        self._odd_high = sum(d < 0 for d in denoms) % 2
+
+    @property
+    def alpha_bits(self) -> np.ndarray:
+        """Per-bit weights [alpha_0, alpha_1], shape (m, 2)."""
+        r = self.rates
+        return np.stack([(1.0 - r) / (1.0 - 2.0 * r), -r / (1.0 - 2.0 * r)], axis=1)
 
     def sample(self, rng, size):
-        flips = rng.random((size, self.m)) < self._p_flip
-        weights = 1 << np.arange(self.m - 1, -1, -1)
-        f = (flips.astype(np.int64) @ weights)
-        signs = np.where(flips, self._sign_bits[1], self._sign_bits[0]).prod(axis=1)
-        return f, signs.astype(np.int8)
+        f = sample_independent_bits(rng, self.rates, size)
+        return f, np.where(parity(f) ^ self._odd_high, -1, 1).astype(np.int8)
 
     def alpha(self):
         check_size(self.m, "expanded tensored weights")
         a = np.array([1.0])
-        for j in range(self.m):
-            a = np.kron(a, self._alpha_bits[:, j])
+        for bit in self.alpha_bits:
+            a = np.kron(a, bit)
         return a
 
 
-class UniformWeights(MitigationWeights):
-    """All bits share one flip rate; O(1) init and state, O(m) per draw."""
+class UniformWeights(TensoredWeights):
+    """All bits share one flip rate: constant-rate tensored weights."""
 
     def __init__(self, m: int, rate: float):
-        if abs(1.0 - 2.0 * rate) < SINGULAR_ATOL:
-            raise SingularChannelError("flip rate 1/2 is not invertible")
-        self.m = m
-        self.rate = float(rate)
-        self.xi = float(abs(1.0 / (1.0 - 2.0 * rate)) ** m)
-        self._negative_flip = rate > 0.5  # sign pattern flips if 1-2r < 0
-
-    def sample(self, rng, size):
-        # |alpha_1| / (|alpha_0| + |alpha_1|) simplifies to the rate itself
-        flips = rng.random((size, self.m)) < self.rate
-        weights = 1 << np.arange(self.m - 1, -1, -1)
-        f = flips.astype(np.int64) @ weights
-        if self._negative_flip:
-            signs = np.where((~flips).sum(axis=1) % 2 == 1, -1, 1)
-        else:
-            signs = np.where(flips.sum(axis=1) % 2 == 1, -1, 1)
-        return f, signs.astype(np.int8)
-
-    def alpha(self):
-        return TensoredWeights(np.full(self.m, self.rate)).alpha()
+        super().__init__([float(rate)] * m)
 
 
 class LayeredWeights(MitigationWeights):
@@ -141,10 +127,6 @@ class LayeredWeights(MitigationWeights):
         self.parts = parts
         self.m = sum(p.m for p in parts)
         self.xi = float(np.prod([p.xi for p in parts]))
-
-    @property
-    def widths(self) -> list[int]:
-        return [p.m for p in self.parts]
 
     def sample(self, rng, size):
         f = np.zeros(size, dtype=np.int64)
@@ -165,8 +147,6 @@ class LayeredWeights(MitigationWeights):
 
 def solve_weights(model) -> MitigationWeights:
     """Mitigation weights for a syndrome model, preserving its structure."""
-    if isinstance(model, UniformModel):
-        return UniformWeights(model.m, model.rate)
     if isinstance(model, TensoredModel):
         return TensoredWeights(model.rates)
     if isinstance(model, LayeredModel):

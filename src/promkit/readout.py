@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (AliasSampler, bits_to_index, check_size, fwht, num_bits,
-                   parity)
+from .bits import (AliasSampler, check_size, fwht, num_bits,
+                   sample_independent_bits)
 
 PROB_ATOL = 1e-9
 
@@ -175,7 +175,8 @@ class TensoredModel(SyndromeModel):
         self.rates = np.asarray(self.rates, dtype=np.float64)
         if self.rates.ndim != 1 or self.rates.size == 0:
             raise ValueError("rates must be a non-empty 1-D array")
-        if np.any((self.rates < 0) | (self.rates > 1)):
+        # plain floats: m is small, and models are built on every config set-up
+        if not all(0.0 <= r <= 1.0 for r in self.rates.tolist()):
             raise ValueError("rates must lie in [0, 1]")
         self.m = self.rates.size
 
@@ -187,35 +188,20 @@ class TensoredModel(SyndromeModel):
         return q
 
     def sample(self, rng, size):
-        flips = rng.random((size, self.m)) < self.rates
-        return bits_to_index(flips)
+        return sample_independent_bits(rng, self.rates, size)
 
     def total_error(self) -> float:
         return float(1.0 - np.prod(1.0 - self.rates))
 
 
-@dataclass
-class UniformModel(SyndromeModel):
-    """Every bit flips independently at the same rate."""
+class UniformModel(TensoredModel):
+    """Every bit flips independently at the same rate: a constant-rate
+    tensored model."""
 
-    m: int
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must lie in [0, 1]")
-        if self.m < 1:
+    def __init__(self, m: int, rate: float):
+        if m < 1:
             raise ValueError("m must be positive")
-
-    def expand(self) -> np.ndarray:
-        return TensoredModel(np.full(self.m, self.rate)).expand()
-
-    def sample(self, rng, size):
-        flips = rng.random((size, self.m)) < self.rate
-        return bits_to_index(flips)
-
-    def total_error(self) -> float:
-        return float(1.0 - (1.0 - self.rate) ** self.m)
+        super().__init__([float(rate)] * m)
 
 
 @dataclass
@@ -234,10 +220,6 @@ class LayeredModel(SyndromeModel):
         if not self.parts:
             raise ValueError("layered model needs at least one part")
         self.m = sum(p.m for p in self.parts)
-
-    @property
-    def widths(self) -> list[int]:
-        return [p.m for p in self.parts]
 
     def expand(self) -> np.ndarray:
         check_size(self.m, "expanded layered model")
@@ -278,14 +260,3 @@ def calibrate(reported_counts) -> np.ndarray:
     if total <= 0:
         raise ValueError("counts must not be all zero")
     return c / total
-
-
-def odd_weight_mass(q, k: int) -> float:
-    """sum of q[s] over syndromes with odd overlap with mask k.
-
-    The spectrum satisfies lambda_k = 1 - 2 * odd_weight_mass(q, k); exposed
-    for tests of that identity.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    s = np.arange(q.size)
-    return float(q[parity(s & k) == 1].sum())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .bits import index_to_bits, stream
+from .bits import bits_to_index, index_to_bits, split_index, stream
 from .circuits import DynamicCircuit, TerminalSetting
 from .mitigation import EstimatorAccumulator, MitigationWeights, terminal_rem
 from .readout import ConfusionMatrix, SyndromeModel
@@ -79,9 +79,6 @@ class NoiseInjector:
             raise ValueError("need one forced syndrome per layer")
         if self.terminal is not None and self.terminal.m != len(setting.measured):
             raise ValueError("terminal noise width mismatch")
-
-    def is_real_safe(self) -> bool:
-        return True  # noise only adds X gates / classical flips
 
 
 @dataclass
@@ -172,8 +169,7 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
         agree = (ones == 0) | (ones == layer.repeat)
         accepted = agree.all(axis=1)
         cons_bits = bits[0]
-    weights = 1 << np.arange(k - 1, -1, -1)
-    return cons_bits @ weights, accepted
+    return bits_to_index(cons_bits), accepted
 
 
 def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
@@ -185,28 +181,23 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
     # all classical randomness that can be presampled is drawn up front in a
     # fixed order, so the draw sequence does not depend on outcomes
-    full_syndromes = None
+    syndrome_parts = None
     if noise is not None and noise.model is not None:
         full_syndromes = np.stack([noise.model.sample(rng, size) for _ in range(max_rep)])
+        syndrome_parts = split_index(full_syndromes, widths)  # per layer: (max_rep, size)
 
     if weights is not None:
         masks, signs = weights.sample(rng, size)
-        mask_parts = []
-        shift = sum(widths)
-        for w in widths:
-            shift -= w
-            mask_parts.append((masks >> shift) & ((1 << w) - 1))
     else:
         masks = np.zeros(size, dtype=np.int64)
         signs = np.ones(size, dtype=np.int8)
-        mask_parts = [np.zeros(size, dtype=np.int64) for _ in widths]
+    mask_parts = split_index(masks, widths)
 
     states = engine.zero_states(size, n, dtype=dtype)
     states = engine.apply_gates(states, circuit.prep, n)
 
     accepted = np.ones(size, dtype=bool)
     trues, reporteds, lookups = [], [], []
-    bit_offset = 0
     for li, layer in enumerate(circuit.layers):
         states = engine.apply_gates(states, layer.pre_gates, n)
 
@@ -225,9 +216,7 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
             if noise is None:
                 reports[j] = true
             elif noise.model is not None:
-                part = (full_syndromes[j] >> (circuit.m - bit_offset - layer.m)) \
-                    & ((1 << layer.m) - 1)
-                reports[j] = true ^ part
+                reports[j] = true ^ syndrome_parts[li][j]
             elif noise.matrices is not None:
                 if noise.bfa:
                     tw = twirl if j == 0 else rng.integers(0, 1 << layer.m, size=size)
@@ -248,7 +237,6 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         trues.append(true)
         reporteds.append(consensus)
         lookups.append(lookup)
-        bit_offset += layer.m
 
     states = engine.apply_gates(states, setting.basis_gates, n)
     if setting.measured:
@@ -336,6 +324,16 @@ def run_shot(circuit: DynamicCircuit, setting: TerminalSetting,
     return records[0]
 
 
+def _signed_moments(result: RunResult, values: np.ndarray, plus: np.ndarray,
+                    minus: np.ndarray) -> EstimatorAccumulator:
+    """Moments of the signed single-shot outcomes values[t] * sign, from the
+    per-sign terminal histograms."""
+    acc = EstimatorAccumulator(xi=result.xi)
+    acc.add_moments(result.accepted, float(values @ (plus - minus)),
+                    float((values * values) @ (plus + minus)), result.discarded)
+    return acc
+
+
 def estimate_observables(result: RunResult, terminal_q: np.ndarray | None = None,
                          ) -> list[ObservableEstimate]:
     """Turn a run's signed counts into per-observable estimates.
@@ -343,17 +341,13 @@ def estimate_observables(result: RunResult, terminal_q: np.ndarray | None = None
     If ``terminal_q`` is given, the terminal readout channel is inverted on
     the (per-sign) count histograms before evaluation.
     """
-    plus = result.signed_counts[0].astype(np.float64)
-    minus = result.signed_counts[1].astype(np.float64)
+    plus, minus = result.signed_counts.astype(np.float64)
     if terminal_q is not None:
         plus = terminal_rem(plus, terminal_q)
         minus = terminal_rem(minus, terminal_q)
     out = []
     for name, values in result.setting.value_table():
-        acc = EstimatorAccumulator(xi=result.xi)
-        s1 = float(values @ (plus - minus))
-        s2 = float((values * values) @ (plus + minus))
-        acc.add_moments(result.accepted, s1, s2, result.discarded)
+        acc = _signed_moments(result, values, plus, minus)
         out.append(ObservableEstimate(
             name=name, estimate=acc.estimate, stderr=acc.stderr, xi=result.xi,
             accepted=result.accepted, discarded=result.discarded,
@@ -361,21 +355,17 @@ def estimate_observables(result: RunResult, terminal_q: np.ndarray | None = None
     return out
 
 
-def aggregate_estimate(results: list[RunResult], value_vectors: list[np.ndarray],
-                       scale: float = 1.0) -> tuple[float, float]:
-    """Sum of per-setting estimates (independent settings), scaled.
+def aggregate_estimate(results: list[RunResult], scale: float = 1.0) -> tuple[float, float]:
+    """scale times the sum of every observable over independent settings.
 
-    Used e.g. for stabilizer fidelities: each setting contributes the sum of
-    its stabilizer values per shot; the total is scale * sum of settings, and
-    the standard errors combine in quadrature.
+    Used e.g. for stabilizer fidelities.  Observables sharing a setting are
+    read from the same shots, so their per-shot sum is estimated as one
+    quantity; the settings' standard errors combine in quadrature.
     """
     total, var = 0.0, 0.0
-    for result, values in zip(results, value_vectors):
-        acc = EstimatorAccumulator(xi=result.xi)
-        plus = result.signed_counts[0].astype(np.float64)
-        minus = result.signed_counts[1].astype(np.float64)
-        acc.add_moments(result.accepted, float(values @ (plus - minus)),
-                        float((values * values) @ (plus + minus)))
+    for result in results:
+        values = np.sum([vals for _, vals in result.setting.value_table()], axis=0)
+        acc = _signed_moments(result, values, *result.signed_counts.astype(np.float64))
         total += acc.estimate
         var += acc.stderr ** 2
     return scale * total, scale * float(np.sqrt(var))

@@ -144,7 +144,6 @@ class TestDynamicCircuit:
         assert c.m == 1
         assert c.layer_widths == [1]
         assert c.cx_count() == 2          # prep + pre_gates; table excluded
-        assert c.measurement_count() == 1
 
     def test_two_qubit_depth(self):
         c = DynamicCircuit(n=3, prep=(cx(0, 1), cx(1, 2), cx(0, 1)))

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from promkit import cli
+from promkit import cli, config
+from promkit.mitigation import GeneralWeights
 
 
 def write(tmp_path, name, payload):
@@ -149,3 +151,56 @@ def test_bench_needs_noise(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.json", {"experiment": "reset",
                                        "parameters": {"n": 1}})
     assert cli.main(["bench", "--config", cfg]) == 1
+
+
+def test_noise_width_checked_before_running(tmp_path, capsys):
+    cfg = reset_config(tmp_path, noise={"kind": "uniform", "m": 2, "rate": 0.1})
+    assert cli.main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "covers 2 bits" in err
+    # calibrate takes m from the noise spec, so it must fit the circuit too
+    cal = write(tmp_path, "cal.json", {
+        "experiment": "calibration", "parameters": {"m": 2},
+        "noise": {"kind": "uniform", "m": 3, "rate": 0.1}, "shots": 100})
+    assert cli.main(["calibrate", "--config", cal]) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    cfg = reset_config(tmp_path, shots=100)
+    assert cli.main(["run", "--config", cfg, "--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_weights_takes_only_config_and_out(tmp_path, capsys):
+    spec = write(tmp_path, "noise.json", {"kind": "general", "q": [0.9, 0.1]})
+    for flag in ("--seed", "--shots", "--trials", "--workers"):
+        assert cli.main(["weights", "--config", spec, flag, "2"]) == 1
+    out = str(tmp_path / "w.json")
+    assert cli.main(["weights", "--config", spec, "--out", out]) == 0
+    assert json.loads((tmp_path / "w.json").read_text())["xi"] == pytest.approx(1.25)
+
+
+def test_weights_layered_spec(tmp_path, capsys):
+    spec = {"kind": "layered", "parts": [
+        {"kind": "uniform", "m": 2, "rate": 0.05},
+        {"kind": "tensored", "rates": [0.1, 0.3]},
+        {"kind": "general", "q": [0.8, 0.1, 0.07, 0.03]}]}
+    assert cli.main(["weights", "--config", write(tmp_path, "noise.json", spec)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    model = config.build_noise(spec).model
+    assert payload["xi"] == pytest.approx(GeneralWeights(model.expand()).xi, abs=1e-12)
+    assert payload["eta"] == pytest.approx(model.total_error(), abs=1e-15)
+    kinds = [entry["kind"] for entry in payload["parts"]]
+    assert kinds == ["tensored", "tensored", "general"]
+    for entry, part in zip(payload["parts"], model.parts):
+        expected = GeneralWeights(part.expand())
+        if entry["kind"] == "tensored":
+            assert entry["rates"] == part.rates.tolist()
+            alpha = np.array([1.0])
+            for bit in entry["alpha_bits"]:
+                alpha = np.kron(alpha, bit)
+        else:
+            alpha = np.array(entry["alpha"])
+        assert np.allclose(alpha, expected.alpha(), atol=1e-12)
+        assert entry["xi"] == pytest.approx(expected.xi, abs=1e-12)

@@ -45,6 +45,17 @@ class TestSchema:
         with pytest.raises(config.ConfigError, match="unknown experiment"):
             config.validate_config(minimal(experiment="qft"))
 
+    def test_noise_must_fit_circuit(self):
+        with pytest.raises(config.ConfigError, match="covers 2 bits"):
+            config.validate_config(minimal(noise={"kind": "uniform", "m": 2, "rate": 0.1}))
+        with pytest.raises(config.ConfigError, match="terminal"):
+            config.validate_config(minimal(noise={
+                "kind": "uniform", "m": 1, "rate": 0.1,
+                "terminal": {"kind": "uniform", "m": 1, "rate": 0.1}}))
+        with pytest.raises(config.ConfigError, match="per layer"):
+            config.validate_config(minimal(noise={
+                "kind": "asymmetric", "matrices": [[[0.9, 0.1], [0.1, 0.9]]] * 2}))
+
     def test_missing_required_parameter(self):
         with pytest.raises(config.ConfigError, match="required"):
             config.build_circuit("ghz", {"b": 2})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promkit import experiments, oracle
+from promkit import config, experiments, oracle
 from promkit.circuits import PauliString
 from promkit.mitigation import solve_weights
 from promkit.readout import UniformModel
@@ -40,7 +40,7 @@ class TestGhz:
         c = experiments.build_ghz_circuit(b, p)
         assert c.n == b * (p + 1)
         assert c.cx_count() == b * (p + 2) - 2
-        assert c.measurement_count() == b - 1
+        assert c.m == b - 1
         assert len(c.layers) == 1
 
     @pytest.mark.parametrize("b,p", [(2, 1), (3, 1), (2, 2)])
@@ -110,6 +110,28 @@ class TestGhz:
             for name, ob in s.observables:
                 vals.append(1.0 if set(name.strip("-")) == {"I"} else 0.0)
         assert experiments.ghz_fidelity(vals) == pytest.approx(2.0 ** -n)
+
+    def test_circuits_carry_stabilizer_settings(self):
+        for c in (experiments.build_ghz_circuit(2, 2), experiments.build_unitary_ghz(4)):
+            assert c.aggregate == ("fidelity", 2.0 ** -c.n)
+            assert len(c.settings) == 2 ** (c.n - 1) + 1
+            observed = [ob for s in c.settings for _, ob in s.observables]
+            assert ([(ob.sign, ob.label) for ob in observed]
+                    == [(ob.sign, ob.label) for ob in experiments.ghz_stabilizers(c.n)])
+
+    def test_settings_match_pauli_bases(self):
+        for s in experiments.ghz_stabilizer_settings(4)[1:]:
+            (name, ob), = s.observables
+            assert s.name == name == ("-" if ob.sign < 0 else "") + ob.label
+            assert s.basis_gates == ob.basis_gates()
+            assert s.measured == (0, 1, 2, 3)
+
+    def test_unitary_ghz_runs_from_config(self):
+        # every GHZ stabilizer is deterministic on the ideal state
+        cfg = config.validate_config({"experiment": "ghz-unitary",
+                                      "parameters": {"n": 4}, "shots": 500})
+        derived = config.run_config(cfg)["record"]["trials"][0]["derived"]
+        assert derived == {"fidelity": 1.0, "fidelity_stderr": 0.0}
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ class TestStructuredSolvers:
 
 def test_solve_weights_dispatch():
     assert isinstance(mitigation.solve_weights(readout.UniformModel(2, 0.1)),
-                      mitigation.UniformWeights)
+                      mitigation.TensoredWeights)
     assert isinstance(mitigation.solve_weights(readout.TensoredModel([0.1])),
                       mitigation.TensoredWeights)
     assert isinstance(mitigation.solve_weights([0.9, 0.1]),
@@ -105,6 +105,36 @@ def test_structured_sampling_matches_alpha():
     freq = np.bincount(masks, minlength=4) / masks.size
     assert np.abs(freq - np.abs(alpha) / w.xi).max() < 5e-3
     assert np.array_equal(signs, np.where(alpha[masks] < 0, -1, 1))
+
+
+def test_tensored_closed_forms():
+    # rates above 1/2 make the non-flip weight negative; an odd number of
+    # them, so the flip parity alone would give the wrong sign; 0 and 1 are exact
+    rates = np.array([0.1, 0.7, 0.0, 1.0, 0.45, 0.8])
+    w = mitigation.TensoredWeights(rates)
+    assert w.xi == np.prod(1.0 / np.abs(1.0 - 2.0 * rates))
+    alpha = w.alpha()
+    assert w.xi == pytest.approx(np.abs(alpha).sum(), rel=1e-12)
+    masks, signs = w.sample(np.random.default_rng(12), 200_000)
+    assert signs.dtype == np.int8
+    assert np.array_equal(signs, np.where(alpha[masks] < 0, -1, 1))
+    # mask bit j flips with probability rates[j]
+    flips = (masks[:, None] >> np.arange(5, -1, -1)) & 1
+    assert np.abs(flips.mean(axis=0) - rates).max() < 5e-3
+
+
+def test_uniform_is_constant_rate_tensored():
+    uni = mitigation.UniformWeights(3, 0.2)
+    ten = mitigation.TensoredWeights([0.2] * 3)
+    assert isinstance(uni, mitigation.TensoredWeights)
+    assert uni.xi == ten.xi
+    a, b = uni.sample(np.random.default_rng(5), 1000), ten.sample(np.random.default_rng(5), 1000)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    model = readout.UniformModel(3, 0.2)
+    assert isinstance(model, readout.TensoredModel)
+    assert model.rates.tolist() == [0.2] * 3
+    with pytest.raises(ValueError):
+        readout.UniformModel(0, 0.1)
 
 
 def test_overhead_bound():
