@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import index_to_bits
+from .bits import check_size
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -133,11 +133,11 @@ class FeedforwardLayer:
 def xor_feedback_table(qubits: tuple[int, ...]) -> tuple[tuple[Gate, ...], ...]:
     """Table applying X to every qubit whose outcome bit is 1 (reset feedback)."""
     k = len(qubits)
-    entries = []
-    for v in range(1 << k):
-        bits = index_to_bits(v, k)
-        entries.append(tuple(x(qubits[j]) for j in range(k) if bits[j]))
-    return tuple(entries)
+    check_size(k, "feedforward table")
+    # one shared (immutable) X gate per qubit, and bits read from plain ints:
+    # the table is built on every config set-up
+    flips = [(x(q), 1 << (k - 1 - j)) for j, q in enumerate(qubits)]
+    return tuple(tuple(g for g, bit in flips if v & bit) for v in range(1 << k))
 
 
 class Observable:
@@ -335,6 +335,12 @@ class DynamicCircuit:
             for q in g.qubits:
                 if not 0 <= q < self.n:
                     raise ValueError(f"gate {g.name} touches qubit {q} outside 0..{self.n - 1}")
+        for kind, owners in (("layer", self.layers), ("setting", self.settings)):
+            for i, owner in enumerate(owners):
+                for q in owner.measured:
+                    if not 0 <= q < self.n:
+                        raise ValueError(f"{kind} {i} measures qubit {q} "
+                                         f"outside 0..{self.n - 1}")
 
     def _structural_gates(self):
         yield from self.prep

@@ -1,18 +1,23 @@
 """Batched statevector primitives.
 
-States are stored as a (batch, 2**n) array so that a whole batch of shots
-advances through each gate with a handful of vectorized operations.  Qubit j
-(0 = most significant bit of the basis index) corresponds to axis 1 + j when
-the batch is viewed as (batch, 2, ..., 2).
+States are stored as a (rows, 2**n) array so that every row advances through
+each gate with a handful of vectorized operations.  The simulator keeps one
+row per branch, a distinct classical history shared by many shots;
+``measure`` draws each shot's outcome against its branch's row and splits
+the branches on the outcomes.  Qubit j (0 = most significant bit of the
+basis index) corresponds to axis 1 + j when the batch is viewed as
+(rows, 2, ..., 2).
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .bits import check_size
 from .circuits import Gate
 
 
 def zero_states(batch: int, n: int, dtype=np.complex128) -> np.ndarray:
+    check_size(n, "statevector")
     states = np.zeros((batch, 1 << n), dtype=dtype)
     states[:, 0] = 1.0
     return states
@@ -103,11 +108,17 @@ def simulate_gates(gates, n: int, state: np.ndarray | None = None,
 
 
 def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
-            ) -> tuple[np.ndarray, np.ndarray]:
+            rows: np.ndarray | None = None, collapse: bool = True):
     """Sample and collapse a computational-basis measurement of ``qubits``.
 
-    Returns (collapsed states, outcome indices); outcome bit 0 is the first
-    listed qubit.  Collapsed states are renormalized.
+    Shot i reads its outcome from state row ``rows[i]`` (default: row i) with
+    one uniform draw against that row's cumulative distribution; outcome bit 0
+    is the first listed qubit.  Without ``rows``, returns (collapsed states,
+    outcomes) with one renormalized row per shot.  With ``rows``, returns
+    (collapsed states, outcomes, branch): one renormalized row per distinct
+    (row, outcome) pair, in sorted order, and each shot's index into them.
+    ``collapse=False`` skips the collapsed rows (states and branch are None)
+    when only the outcomes are needed.
     """
     batch = states.shape[0]
     k = len(qubits)
@@ -119,18 +130,39 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     probs = np.square(np.abs(t)).sum(axis=2).astype(np.float64)
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(batch)
-    outcomes = np.minimum((u[:, None] >= cum).sum(axis=1), (1 << k) - 1).astype(np.int64)
+    # rounding can leave cum[-1] below a draw; such a draw takes the last
+    # outcome that has any probability, never a zero-probability one
+    last = (1 << k) - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    shot_rows = np.arange(batch) if rows is None else np.asarray(rows)
+    u = rng.random(shot_rows.size)
+    outcomes = np.minimum((u[:, None] >= cum[shot_rows]).sum(axis=1),
+                          last[shot_rows]).astype(np.int64)
+    if not collapse:
+        return None, outcomes, None
 
-    rows = np.arange(batch)
-    kept = t[rows, outcomes, :]
-    norms = np.sqrt(probs[rows, outcomes]).astype(kept.real.dtype)
-    collapsed = np.zeros_like(t)
-    collapsed[rows, outcomes, :] = kept / norms[:, None]
+    branch, parent, kept_outcome = split(shot_rows, outcomes, k)
+    kept = t[parent, kept_outcome, :]
+    norms = np.sqrt(probs[parent, kept_outcome]).astype(kept.real.dtype)
+    collapsed = np.zeros((parent.size,) + t.shape[1:], dtype=t.dtype)
+    collapsed[np.arange(parent.size), kept_outcome, :] = kept / norms[:, None]
 
     inverse = np.argsort([0] + axes + rest)
-    out = np.transpose(collapsed.reshape((batch,) + (2,) * n), inverse)
-    return np.ascontiguousarray(out).reshape(batch, 1 << n), outcomes
+    out = np.transpose(collapsed.reshape((parent.size,) + (2,) * n), inverse)
+    out = np.ascontiguousarray(out).reshape(parent.size, 1 << n)
+    if rows is None:
+        return out, outcomes
+    return out, outcomes, branch
+
+
+def split(rows: np.ndarray, values: np.ndarray, width: int):
+    """Split state rows on a per-shot value of ``width`` bits.
+
+    ``rows[i]`` is shot i's row.  Returns (each shot's new row, the old row
+    of each new row, the value of each new row); new rows are the distinct
+    (row, value) pairs in sorted order.
+    """
+    pairs, new_rows = np.unique(rows << width | values, return_inverse=True)
+    return new_rows.reshape(-1), pairs >> width, pairs & ((1 << width) - 1)
 
 
 def apply_x_masks(states: np.ndarray, qubits, masks: np.ndarray, n: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import oracle, simulator
-from .bits import index_to_bits
+from .bits import check_size, index_to_bits
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                        TerminalSetting, ZeroProjector, cx, h, ry, rx, rz, sdg,
                        x, xor_feedback_table, z)
@@ -95,6 +95,7 @@ def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
         parity_checks.append(cx(blocks[i + 1][0], ancillas[i]))
 
     measured = tuple(ancillas[:-1])
+    check_size(b - 1, "feedforward table")
     table = []
     for v in range(1 << (b - 1)):
         bits = index_to_bits(v, b - 1)
@@ -150,6 +151,7 @@ def ghz_stabilizer_settings(n: int) -> list[TerminalSetting]:
     All Z-strings share the computational basis; each X/Y-string needs its
     own per-qubit basis (H, or Sdg+H where it has a Y).
     """
+    check_size(n - 1, "stabilizer settings")
     labels = _ghz_stabilizer_labels(n)
     z_labels, xy_labels = labels[:len(labels) // 2], labels[len(labels) // 2:]
     measured = tuple(range(n))
@@ -293,6 +295,7 @@ def build_calibration_circuit(m: int) -> DynamicCircuit:
 
     Under bit-flip averaging the reported outcome is exactly the syndrome.
     """
+    check_size(m, "feedforward table")
     layer = FeedforwardLayer(measured=tuple(range(m)),
                              table=tuple(() for _ in range(1 << m)))
     setting = TerminalSetting(name="none", measured=(), observables=())

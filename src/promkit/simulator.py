@@ -9,6 +9,13 @@ lookup, and each shot carries the sign of its mask's quasiprobability weight.
 Shots run in fixed-size batches; batch b of trial t draws all randomness from
 an independent stream keyed by (seed, t, b), so results are bit-identical for
 a given (config, seed) no matter how batches are scheduled across workers.
+
+Within a batch the statevector is evolved once per branch, not once per
+shot.  A branch is a distinct classical history: the BFA twirls, true
+outcomes and table entries met so far.  Branches split after each twirl, each
+mid-circuit measurement and each table lookup.  Every shot draws its own
+randomness in a fixed order and reads its outcome against its branch's row,
+so the records are those of a one-row-per-shot simulation.
 """
 from __future__ import annotations
 
@@ -172,9 +179,35 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
     return bits_to_index(cons_bits), accepted
 
 
+def _gate_key(gate) -> tuple:
+    if gate.matrix is None:
+        return gate.name, gate.qubits
+    matrix = np.asarray(gate.matrix)
+    return gate.name, gate.qubits, matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+
+def _entry_keys(circuit: DynamicCircuit) -> list[np.ndarray]:
+    """Per layer, for each table index, the first index whose entry has the
+    same gate sequence (gate name, qubits and matrix bytes; ``Gate`` equality
+    ignores the matrix), so that shots looking up equal entries stay on one
+    branch."""
+    keys = []
+    for layer in circuit.layers:
+        first: dict = {}
+        keys.append(np.array([first.setdefault(tuple(map(_gate_key, entry)), v)
+                              for v, entry in enumerate(layer.table)], dtype=np.int64))
+    return keys
+
+
 def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                noise: NoiseInjector | None, weights: MitigationWeights | None,
-               rng: np.random.Generator, dtype, collect: bool = False):
+               rng: np.random.Generator, dtype, entry_keys: list[np.ndarray],
+               collect: bool = False):
+    """Run one batch of ``size`` shots.
+
+    ``states`` holds one row per branch and ``branch[i]`` is shot i's row.
+    ``entry_keys`` is ``_entry_keys(circuit)``.
+    """
     n = circuit.n
     widths = circuit.layer_widths
     max_rep = max((layer.repeat for layer in circuit.layers), default=1)
@@ -193,8 +226,9 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         signs = np.ones(size, dtype=np.int8)
     mask_parts = split_index(masks, widths)
 
-    states = engine.zero_states(size, n, dtype=dtype)
+    states = engine.zero_states(1, n, dtype=dtype)
     states = engine.apply_gates(states, circuit.prep, n)
+    branch = np.zeros(size, dtype=np.int64)
 
     accepted = np.ones(size, dtype=bool)
     trues, reporteds, lookups = [], [], []
@@ -203,13 +237,18 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
         if noise is not None and noise.matrices is not None and noise.bfa:
             twirl = rng.integers(0, 1 << layer.m, size=size)
-            states = engine.apply_x_masks(states, layer.measured, twirl, n)
-            states, twirled_true = engine.measure(states, layer.measured, n, rng)
-            states = engine.apply_x_masks(states, layer.measured, twirl, n)
+            branch, parent, row_twirl = engine.split(branch, twirl, layer.m)
+            states = engine.apply_x_masks(states[parent], layer.measured, row_twirl, n)
+            states, twirled_true, branch = engine.measure(states, layer.measured, n, rng,
+                                                          rows=branch)
+            # undo each collapsed row's twirl, which all of its shots share
+            row_twirl = np.empty(states.shape[0], dtype=np.int64)
+            row_twirl[branch] = twirl
+            states = engine.apply_x_masks(states, layer.measured, row_twirl, n)
             true = twirled_true ^ twirl
         else:
             twirl = None
-            states, true = engine.measure(states, layer.measured, n, rng)
+            states, true, branch = engine.measure(states, layer.measured, n, rng, rows=branch)
 
         reports = np.empty((layer.repeat, size), dtype=np.int64)
         for j in range(layer.repeat):
@@ -231,7 +270,8 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         consensus, layer_ok = _consensus(reports, layer)
         accepted &= layer_ok
         lookup = consensus ^ mask_parts[li]
-        states = _apply_table(states, layer, lookup, n)
+        branch, parent, row_entry = engine.split(branch, entry_keys[li][lookup], layer.m)
+        states = _apply_table(states[parent], layer, row_entry, n)
         states = engine.apply_gates(states, layer.post_gates, n)
 
         trues.append(true)
@@ -240,7 +280,8 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
     states = engine.apply_gates(states, setting.basis_gates, n)
     if setting.measured:
-        states, term = engine.measure(states, setting.measured, n, rng)
+        _, term, _ = engine.measure(states, setting.measured, n, rng, rows=branch,
+                                    collapse=False)
         if noise is not None and noise.terminal is not None:
             term = term ^ noise.terminal.sample(rng, size)
     else:
@@ -295,10 +336,12 @@ def run_shots(circuit: DynamicCircuit, setting: TerminalSetting, shots: int, *,
     if shots % batch:
         sizes.append(shots % batch)
 
+    entry_keys = _entry_keys(circuit)
+
     def one(args):
         b, sz = args
         return _run_batch(circuit, setting, sz, noise, weights,
-                          stream(seed, trial, b), dtype)
+                          stream(seed, trial, b), dtype, entry_keys)
 
     tasks = list(enumerate(sizes))
     if workers > 1 and len(tasks) > 1:
@@ -320,7 +363,8 @@ def run_shot(circuit: DynamicCircuit, setting: TerminalSetting,
     if noise is not None:
         noise.validate_for(circuit, setting)
     dtype = _pick_dtype(circuit, setting, dtype)
-    _, records = _run_batch(circuit, setting, 1, noise, weights, rng, dtype, collect=True)
+    _, records = _run_batch(circuit, setting, 1, noise, weights, rng, dtype,
+                            _entry_keys(circuit), collect=True)
     return records[0]
 
 

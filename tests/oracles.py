@@ -4,7 +4,13 @@ Everything here is written the slow, obvious way (dense matrices, double
 sums, linear solves) so that agreement with the fast implementations is
 meaningful.
 """
+from __future__ import annotations
+
 import numpy as np
+
+from promkit import engine
+from promkit.bits import bits_to_index, index_to_bits, split_index, stream
+from promkit.simulator import RunResult, ShotRecord, _pick_dtype, batch_size_for
 
 I2 = np.eye(2)
 CX = np.array([[1, 0, 0, 0],
@@ -107,3 +113,159 @@ def perturbed_distribution(rng, q, scale):
     noise /= noise.sum()
     t = rng.uniform(0.0, scale)
     return (1 - t) * q + t * noise
+
+
+# ---------------------------------------------------------------------------
+# per-shot batch routine: one statevector row per shot, no branching
+
+def _apply_table(states, layer, lookup, n):
+    for v in np.unique(lookup):
+        gates = layer.table[int(v)]
+        if not gates:
+            continue
+        sel = lookup == v
+        states[sel] = engine.apply_gates(states[sel], gates, n)
+    return states
+
+
+def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit consensus across QND repetitions.
+
+    Returns (consensus outcome, accepted mask).  ``reports`` is (repeat, batch).
+    """
+    if layer.repeat == 1:
+        return reports[0], np.ones(reports.shape[1], dtype=bool)
+    k = layer.m
+    bits = index_to_bits(reports, k).astype(np.int64)       # (repeat, batch, k)
+    ones = bits.sum(axis=0)                                  # (batch, k)
+    if layer.consensus == "majority":
+        cons_bits = (2 * ones > layer.repeat).astype(np.int64)
+        accepted = np.ones(reports.shape[1], dtype=bool)
+    else:  # unanimous
+        agree = (ones == 0) | (ones == layer.repeat)
+        accepted = agree.all(axis=1)
+        cons_bits = bits[0]
+    return bits_to_index(cons_bits), accepted
+
+
+def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
+                   noise: NoiseInjector | None, weights: MitigationWeights | None,
+                   rng: np.random.Generator, dtype, collect: bool = False):
+    """The simulator's batch routine before shot branching, kept unchanged:
+    one statevector row per shot."""
+    n = circuit.n
+    widths = circuit.layer_widths
+    max_rep = max((layer.repeat for layer in circuit.layers), default=1)
+
+    # all classical randomness that can be presampled is drawn up front in a
+    # fixed order, so the draw sequence does not depend on outcomes
+    syndrome_parts = None
+    if noise is not None and noise.model is not None:
+        full_syndromes = np.stack([noise.model.sample(rng, size) for _ in range(max_rep)])
+        syndrome_parts = split_index(full_syndromes, widths)  # per layer: (max_rep, size)
+
+    if weights is not None:
+        masks, signs = weights.sample(rng, size)
+    else:
+        masks = np.zeros(size, dtype=np.int64)
+        signs = np.ones(size, dtype=np.int8)
+    mask_parts = split_index(masks, widths)
+
+    states = engine.zero_states(size, n, dtype=dtype)
+    states = engine.apply_gates(states, circuit.prep, n)
+
+    accepted = np.ones(size, dtype=bool)
+    trues, reporteds, lookups = [], [], []
+    for li, layer in enumerate(circuit.layers):
+        states = engine.apply_gates(states, layer.pre_gates, n)
+
+        if noise is not None and noise.matrices is not None and noise.bfa:
+            twirl = rng.integers(0, 1 << layer.m, size=size)
+            states = engine.apply_x_masks(states, layer.measured, twirl, n)
+            states, twirled_true = engine.measure(states, layer.measured, n, rng)
+            states = engine.apply_x_masks(states, layer.measured, twirl, n)
+            true = twirled_true ^ twirl
+        else:
+            twirl = None
+            states, true = engine.measure(states, layer.measured, n, rng)
+
+        reports = np.empty((layer.repeat, size), dtype=np.int64)
+        for j in range(layer.repeat):
+            if noise is None:
+                reports[j] = true
+            elif noise.model is not None:
+                reports[j] = true ^ syndrome_parts[li][j]
+            elif noise.matrices is not None:
+                if noise.bfa:
+                    tw = twirl if j == 0 else rng.integers(0, 1 << layer.m, size=size)
+                    reports[j] = noise.matrices[li].sample_reported(true ^ tw, rng) ^ tw
+                else:
+                    reports[j] = noise.matrices[li].sample_reported(true, rng)
+            elif noise.forced is not None:
+                reports[j] = true ^ noise.forced[li]
+            else:  # terminal-only injector
+                reports[j] = true
+
+        consensus, layer_ok = _consensus(reports, layer)
+        accepted &= layer_ok
+        lookup = consensus ^ mask_parts[li]
+        states = _apply_table(states, layer, lookup, n)
+        states = engine.apply_gates(states, layer.post_gates, n)
+
+        trues.append(true)
+        reporteds.append(consensus)
+        lookups.append(lookup)
+
+    states = engine.apply_gates(states, setting.basis_gates, n)
+    if setting.measured:
+        states, term = engine.measure(states, setting.measured, n, rng)
+        if noise is not None and noise.terminal is not None:
+            term = term ^ noise.terminal.sample(rng, size)
+    else:
+        term = np.zeros(size, dtype=np.int64)
+
+    k_term = len(setting.measured)
+    counts = np.zeros((2, 1 << k_term), dtype=np.int64)
+    pos = accepted & (signs > 0)
+    neg = accepted & (signs < 0)
+    counts[0] = np.bincount(term[pos], minlength=1 << k_term)
+    counts[1] = np.bincount(term[neg], minlength=1 << k_term)
+
+    rep_counts, flip_counts = [], []
+    for li, layer in enumerate(circuit.layers):
+        rep_counts.append(np.bincount(reporteds[li][accepted], minlength=1 << layer.m))
+        tb = index_to_bits(trues[li][accepted], layer.m).astype(np.int64)
+        cb = index_to_bits(reporteds[li][accepted], layer.m).astype(np.int64)
+        flip_counts.append((tb != cb).sum(axis=0))
+
+    result = RunResult(setting=setting, shots=size, accepted=int(accepted.sum()),
+                       discarded=int(size - accepted.sum()), signed_counts=counts,
+                       layer_reported_counts=rep_counts, layer_flip_counts=flip_counts,
+                       xi=weights.xi if weights is not None else 1.0)
+    if not collect:
+        return result
+    records = [ShotRecord(true_outcomes=[int(t[i]) for t in trues],
+                          reported_outcomes=[int(r[i]) for r in reporteds],
+                          lookup_indices=[int(l[i]) for l in lookups],
+                          mask=int(masks[i]), sign=int(signs[i]),
+                          discarded=not bool(accepted[i]),
+                          terminal_outcome=int(term[i]) if setting.measured else None)
+               for i in range(size)]
+    return result, records
+
+
+def per_shot_run(circuit, setting, shots, *, noise=None, weights=None, seed=0,
+                 trial=0, dtype=None):
+    """``run_shots`` over the per-shot batch routine: same batches, same
+    streams, merged in batch order."""
+    dtype = _pick_dtype(circuit, setting, dtype)
+    batch = batch_size_for(circuit.n)
+    sizes = [batch] * (shots // batch)
+    if shots % batch:
+        sizes.append(shots % batch)
+    total = None
+    for b, size in enumerate(sizes):
+        part = per_shot_batch(circuit, setting, size, noise, weights,
+                              stream(seed, trial, b), dtype)
+        total = part if total is None else total.merge(part)
+    return total

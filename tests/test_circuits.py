@@ -161,6 +161,10 @@ class TestDynamicCircuit:
             DynamicCircuit(n=1, prep=(h(1),))  # qubit out of range
         with pytest.raises(ValueError):
             DynamicCircuit(n=0)
+        with pytest.raises(ValueError, match="layer 0 measures qubit 2"):
+            DynamicCircuit(n=2, layers=(FeedforwardLayer(measured=(2,), table=((), ())),))
+        with pytest.raises(ValueError, match="setting 0 measures qubit -1"):
+            DynamicCircuit(n=2, settings=(TerminalSetting("t", (0, -1), ()),))
 
 
 def test_fanout_depth_from_center():

@@ -204,3 +204,38 @@ def test_weights_layered_spec(tmp_path, capsys):
             alpha = np.array(entry["alpha"])
         assert np.allclose(alpha, expected.alpha(), atol=1e-12)
         assert entry["xi"] == pytest.approx(expected.xi, abs=1e-12)
+
+
+def test_measured_qubit_outside_circuit_exits_1(tmp_path, capsys):
+    circuit = write(tmp_path, "circuit.json", {
+        "n": 2, "prep": [["h", 0]],
+        "settings": [{"name": "t", "measured": [0, 9],
+                      "observables": [{"name": "zz", "pauli": "ZZ",
+                                       "qubits": [0, 9]}]}]})
+    cfg = write(tmp_path, "cfg.json", {"experiment": "custom",
+                                       "parameters": {"path": circuit}, "shots": 10})
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert "measures qubit 9 outside 0..1" in capsys.readouterr().err
+
+
+def test_size_cap_statevector_exits_3(tmp_path, capsys, monkeypatch):
+    # reset n=1 has a 2-entry table but a 3-qubit statevector
+    monkeypatch.setenv("PROMKIT_SIZE_CAP", "2")
+    cfg = reset_config(tmp_path, shots=10)
+    assert cli.main(["run", "--config", cfg]) == 3
+    assert "statevector needs 2**3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, parameters, message", [
+    ("reset", {"n": 5}, "feedforward table needs 2**5"),
+    ("ghz", {"b": 5, "p": 1}, "feedforward table needs 2**4"),
+    ("calibration", {"m": 4}, "feedforward table needs 2**4"),
+    ("ghz", {"b": 2, "p": 2}, "stabilizer settings needs 2**5"),
+])
+def test_size_cap_tables_exit_3(tmp_path, capsys, monkeypatch, experiment, parameters,
+                                message):
+    monkeypatch.setenv("PROMKIT_SIZE_CAP", "3")
+    cfg = write(tmp_path, "cfg.json", {"experiment": experiment, "parameters": parameters,
+                                       "shots": 10})
+    assert cli.main(["run", "--config", cfg]) == 3
+    assert message in capsys.readouterr().err

@@ -119,3 +119,36 @@ def test_measurement_determinism():
     _, o1 = engine.measure(states.copy(), (0, 1), 2, np.random.default_rng(9))
     _, o2 = engine.measure(states.copy(), (0, 1), 2, np.random.default_rng(9))
     assert np.array_equal(o1, o2)
+
+
+class _TopRng:
+    """Stub generator whose every uniform draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_measure_rounding_gap_takes_last_possible_outcome():
+    # the normalized cumulative distribution of this state ends just below
+    # the draw, and its last outcome has probability zero
+    state = np.array([[0.8641355854905248, 0.1824995720531056, 0.46900276767774135, 0.0]])
+    probs = np.square(state) / np.square(state).sum()
+    assert np.cumsum(probs)[-1] < np.nextafter(1.0, 0.0)
+    collapsed, outcomes = engine.measure(state.copy(), (0, 1), 2, _TopRng())
+    assert outcomes[0] == 2
+    assert np.allclose(collapsed, [[0.0, 0.0, 1.0, 0.0]], rtol=0, atol=1e-12)
+
+
+def test_measure_rows_read_each_shot_against_its_row():
+    # row 0 is |00>, row 1 is |11>; shots map to rows 1, 0, 1
+    states = np.zeros((2, 4), dtype=np.complex128)
+    states[0, 0] = states[1, 3] = 1.0
+    rows = np.array([1, 0, 1])
+    collapsed, outcomes, branch = engine.measure(states, (0, 1), 2,
+                                                 np.random.default_rng(0), rows=rows)
+    assert outcomes.tolist() == [3, 0, 3]
+    assert branch.tolist() == [1, 0, 1]
+    assert np.array_equal(collapsed, states)
+    _, drawn, none = engine.measure(states, (0, 1), 2, np.random.default_rng(0),
+                                    rows=rows, collapse=False)
+    assert drawn.tolist() == [3, 0, 3] and none is None
