@@ -45,11 +45,6 @@ def num_bits(size: int) -> int:
     return size.bit_length() - 1
 
 
-def bit_of(s: int, j: int, m: int) -> int:
-    """Bit j (0 = leftmost / most significant) of an m-bit index."""
-    return (s >> (m - 1 - j)) & 1
-
-
 def index_to_bits(s, m: int) -> np.ndarray:
     """m-bit expansion, bit 0 first.  Vectorized over an array of indices."""
     s = np.asarray(s)
@@ -63,18 +58,6 @@ def bits_to_index(bits) -> np.ndarray:
     m = bits.shape[-1]
     weights = 1 << np.arange(m - 1, -1, -1)
     return (bits.astype(np.int64) @ weights).astype(np.int64)
-
-
-def index_to_string(s: int, m: int) -> str:
-    return format(s, f"0{m}b")
-
-
-def string_to_index(bitstring: str) -> int:
-    if bitstring == "":
-        return 0
-    if set(bitstring) - {"0", "1"}:
-        raise ValueError(f"not a bitstring: {bitstring!r}")
-    return int(bitstring, 2)
 
 
 def popcount(s) -> np.ndarray:
@@ -100,17 +83,6 @@ def split_index(s, widths) -> list:
         used += w
         parts.append((s >> (total - used)) & ((1 << w) - 1))
     return parts
-
-
-def concat_index(parts, widths):
-    """Pack per-part indices into one index (inverse of split_index)."""
-    out = 0
-    for p, w in zip(parts, widths):
-        p = np.asarray(p)
-        if np.any(p >> w):
-            raise ValueError(f"part value out of range for width {w}")
-        out = (out << w) | p
-    return out
 
 
 def fwht(v) -> np.ndarray:
@@ -158,19 +130,23 @@ class AliasSampler:
         if total <= 0:
             raise ValueError("probs must have positive total")
         k = p.size
-        scaled = p * (k / total)
-        self.n = k
-        self.prob = np.ones(k, dtype=np.float64)
-        self.alias = np.arange(k, dtype=np.int64)
+        # Python floats are IEEE doubles, so the loop computes what numpy
+        # scalars would, without their per-operation overhead
+        scaled = (p * (k / total)).tolist()
+        prob = [1.0] * k
+        alias = list(range(k))
         small = [i for i in range(k) if scaled[i] < 1.0]
         large = [i for i in range(k) if scaled[i] >= 1.0]
         while small and large:
             s, g = small.pop(), large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = g
+            prob[s] = scaled[s]
+            alias[s] = g
             scaled[g] -= 1.0 - scaled[s]
             (small if scaled[g] < 1.0 else large).append(g)
-        # leftovers are 1.0 within float error; tables already initialized
+        # leftovers are 1.0 within float error, as initialized
+        self.n = k
+        self.prob = np.array(prob, dtype=np.float64)
+        self.alias = np.array(alias, dtype=np.int64)
 
     def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
         i = rng.integers(0, self.n, size=size)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 
 import numpy as np
@@ -91,28 +92,40 @@ def _param(params: dict, key: str, default=None, required: bool = False):
     return params.get(key, default)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part."""
+    if (isinstance(value, bool) or not isinstance(value, (numbers.Integral, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_param(params: dict, key: str, default=None, required: bool = False) -> int:
+    return _integer(_param(params, key, default, required), f"experiment parameter '{key}'")
+
+
 def build_circuit(experiment: str, parameters: dict) -> DynamicCircuit:
     """Instantiate the named experiment; 'custom' loads a circuit file."""
     try:
         if experiment == "reset":
-            return experiments.build_reset_circuit(int(_param(parameters, "n", 1)))
+            return experiments.build_reset_circuit(_int_param(parameters, "n", 1))
         if experiment == "ghz":
-            return experiments.build_ghz_circuit(int(_param(parameters, "b", required=True)),
-                                                 int(_param(parameters, "p", required=True)))
+            return experiments.build_ghz_circuit(_int_param(parameters, "b", required=True),
+                                                 _int_param(parameters, "p", required=True))
         if experiment == "ghz-unitary":
-            return experiments.build_unitary_ghz(int(_param(parameters, "n", required=True)))
+            return experiments.build_unitary_ghz(_int_param(parameters, "n", required=True))
         if experiment == "teleport":
             return experiments.build_teleport_circuit(
-                int(_param(parameters, "k", required=True)),
+                _int_param(parameters, "k", required=True),
                 float(_param(parameters, "phi_x", np.pi / 8)),
                 float(_param(parameters, "phi_z", 3 * np.pi / 8)))
         if experiment == "transport":
             return experiments.build_unitary_transport(
-                int(_param(parameters, "k", required=True)),
+                _int_param(parameters, "k", required=True),
                 float(_param(parameters, "phi_x", np.pi / 8)),
                 float(_param(parameters, "phi_z", 3 * np.pi / 8)))
         if experiment == "calibration":
-            return experiments.build_calibration_circuit(int(_param(parameters, "m", required=True)))
+            return experiments.build_calibration_circuit(_int_param(parameters, "m", required=True))
         if experiment == "custom":
             return load_circuit_file(_param(parameters, "path", required=True))
     except ConfigError:
@@ -202,7 +215,7 @@ def load_circuit_file(path: str) -> DynamicCircuit:
 def _build_model(spec: dict) -> SyndromeModel:
     kind = spec.get("kind")
     if kind == "uniform":
-        return UniformModel(int(spec["m"]), float(spec["rate"]))
+        return UniformModel(_integer(spec["m"], "uniform noise 'm'"), float(spec["rate"]))
     if kind == "tensored":
         return TensoredModel([float(r) for r in spec["rates"]])
     if kind == "layered":
@@ -222,8 +235,8 @@ def build_noise(spec: dict | None) -> NoiseInjector | None:
         raise ConfigError("noise spec must be an object with a 'kind'")
     spec = dict(spec)
     terminal_spec = spec.pop("terminal", None)
-    terminal = _build_model(terminal_spec) if terminal_spec is not None else None
     try:
+        terminal = _build_model(terminal_spec) if terminal_spec is not None else None
         if spec["kind"] == "asymmetric":
             matrices = [ConfusionMatrix(np.asarray(mat, dtype=np.float64))
                         for mat in spec["matrices"]]

@@ -7,6 +7,11 @@ row per branch, a distinct classical history shared by many shots;
 the branches on the outcomes.  Qubit j (0 = most significant bit of the
 basis index) corresponds to axis 1 + j when the batch is viewed as
 (rows, 2, ..., 2).
+
+The per-shot classical work is O(shots) per call: an outcome draw is a
+k-step binary descent over its row's cumulative distribution, a split
+numbers the distinct (row, value) keys with a dense presence table when the
+key space is small, and an X twirl is one gather of every row.
 """
 from __future__ import annotations
 
@@ -112,13 +117,14 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     """Sample and collapse a computational-basis measurement of ``qubits``.
 
     Shot i reads its outcome from state row ``rows[i]`` (default: row i) with
-    one uniform draw against that row's cumulative distribution; outcome bit 0
-    is the first listed qubit.  Without ``rows``, returns (collapsed states,
-    outcomes) with one renormalized row per shot.  With ``rows``, returns
-    (collapsed states, outcomes, branch): one renormalized row per distinct
-    (row, outcome) pair, in sorted order, and each shot's index into them.
-    ``collapse=False`` skips the collapsed rows (states and branch are None)
-    when only the outcomes are needed.
+    one uniform draw u against that row's cumulative distribution: the
+    outcome is the number of cumulative entries <= u, found by a k-step
+    binary descent; outcome bit 0 is the first listed qubit.  Without
+    ``rows``, returns (collapsed states, outcomes) with one renormalized row
+    per shot.  With ``rows``, returns (collapsed states, outcomes, branch):
+    one renormalized row per distinct (row, outcome) pair, in sorted order,
+    and each shot's index into them.  ``collapse=False`` skips the collapsed
+    rows (states and branch are None) when only the outcomes are needed.
     """
     batch = states.shape[0]
     k = len(qubits)
@@ -135,8 +141,16 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     last = (1 << k) - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
     shot_rows = np.arange(batch) if rows is None else np.asarray(rows)
     u = rng.random(shot_rows.size)
-    outcomes = np.minimum((u[:, None] >= cum[shot_rows]).sum(axis=1),
-                          last[shot_rows]).astype(np.int64)
+    # cum rows are non-decreasing, so the entries <= u form a prefix: find
+    # its length below 2**k bit by bit, then compare against the last entry
+    flat = cum.ravel()
+    base = shot_rows << k
+    at = base - 1
+    for b in reversed(range(k)):
+        at += (flat[at + (1 << b)] <= u) << b
+    outcomes = at - base + 1
+    gap = flat[base + ((1 << k) - 1)] <= u
+    outcomes[gap] = last[shot_rows[gap]]
     if not collapse:
         return None, outcomes, None
 
@@ -154,40 +168,42 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     return out, outcomes, branch
 
 
+DENSE_SPLIT_RATIO = 4
+
+
 def split(rows: np.ndarray, values: np.ndarray, width: int):
     """Split state rows on a per-shot value of ``width`` bits.
 
     ``rows[i]`` is shot i's row.  Returns (each shot's new row, the old row
     of each new row, the value of each new row); new rows are the distinct
-    (row, value) pairs in sorted order.
+    (row, value) pairs in sorted order.  The pairs are packed into keys
+    ``row << width | value``; when the key space is at most
+    ``DENSE_SPLIT_RATIO`` times the number of shots they are numbered through
+    a presence table, in O(shots), and otherwise by ``np.unique``.
     """
-    pairs, new_rows = np.unique(rows << width | values, return_inverse=True)
+    keys = rows << width | values
+    space = (int(rows.max()) + 1) << width
+    if space <= DENSE_SPLIT_RATIO * keys.size:
+        present = np.bincount(keys, minlength=space) > 0
+        pairs = np.flatnonzero(present)
+        new_rows = (np.cumsum(present) - 1)[keys]
+    else:
+        pairs, new_rows = np.unique(keys, return_inverse=True)
     return new_rows.reshape(-1), pairs >> width, pairs & ((1 << width) - 1)
 
 
 def apply_x_masks(states: np.ndarray, qubits, masks: np.ndarray, n: int) -> np.ndarray:
-    """Apply X on ``qubits[j]`` for each shot whose mask bit j is set.
+    """Apply X on ``qubits[j]`` to row i wherever bit j of ``masks[i]`` is set.
 
-    Flipping qubits permutes basis indices by a per-shot XOR, done as one
-    gather per distinct mask value.
+    Flipping qubits permutes basis indices by a per-row XOR, done as one
+    gather over all rows.
     """
     masks = np.asarray(masks)
     k = len(qubits)
     if k == 0:
         return states
+    full = np.zeros(masks.shape, dtype=np.int64)
+    for j, q in enumerate(qubits):
+        full |= ((masks >> (k - 1 - j)) & 1) << (n - 1 - q)
     idx = np.arange(states.shape[1])
-    for v in np.unique(masks):
-        if v == 0:
-            continue
-        full = 0
-        for j, q in enumerate(qubits):
-            if (int(v) >> (k - 1 - j)) & 1:
-                full |= 1 << (n - 1 - q)
-        sel = masks == v
-        states[sel] = states[np.ix_(sel.nonzero()[0], idx ^ full)]
-    return states
-
-
-def probabilities(state: np.ndarray) -> np.ndarray:
-    p = np.square(np.abs(state))
-    return p / p.sum()
+    return np.take_along_axis(states, idx ^ full[:, None], axis=1)

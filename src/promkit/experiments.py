@@ -256,12 +256,6 @@ def build_unitary_transport(k: int, phi_x: float = math.pi / 8,
     return DynamicCircuit(n=n, prep=tuple(prep), settings=tuple(settings))
 
 
-def euclidean_error(estimates, ideals) -> float:
-    e = np.asarray(estimates, dtype=np.float64)
-    i = np.asarray(ideals, dtype=np.float64)
-    return float(np.linalg.norm(e - i))
-
-
 # ---------------------------------------------------------------------------
 # repetition baselines
 

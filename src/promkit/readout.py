@@ -109,15 +109,20 @@ class ConfusionMatrix:
         return symmetrize(self)
 
     def sample_reported(self, true_outcomes, rng: np.random.Generator) -> np.ndarray:
-        """Draw reported outcomes column-wise for an array of true outcomes."""
+        """Draw reported outcomes column-wise for a 1-D array of true outcomes."""
         if self._col_samplers is None:
             self._col_samplers = [AliasSampler(self.matrix[:, t])
                                   for t in range(self.matrix.shape[1])]
         true_outcomes = np.asarray(true_outcomes)
         out = np.empty(true_outcomes.shape, dtype=np.int64)
-        for t in np.unique(true_outcomes):
-            sel = true_outcomes == t
-            out[sel] = self._col_samplers[int(t)].draw(rng, size=int(sel.sum()))
+        # shots grouped by true outcome, ascending, each group in shot order
+        order = np.argsort(true_outcomes, kind="stable")
+        sizes = np.bincount(true_outcomes).tolist()
+        start = 0
+        for t, count in enumerate(sizes):
+            if count:
+                out[order[start:start + count]] = self._col_samplers[t].draw(rng, size=count)
+                start += count
         return out
 
 
@@ -236,13 +241,6 @@ class LayeredModel(SyndromeModel):
 
     def total_error(self) -> float:
         return float(1.0 - np.prod([1.0 - p.total_error() for p in self.parts]))
-
-
-def as_model(obj) -> SyndromeModel:
-    """Coerce a raw q vector / rate list / model into a SyndromeModel."""
-    if isinstance(obj, SyndromeModel):
-        return obj
-    return GeneralModel(np.asarray(obj, dtype=np.float64))
 
 
 def calibrate(reported_counts) -> np.ndarray:

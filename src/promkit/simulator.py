@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .bits import bits_to_index, index_to_bits, split_index, stream
+from .bits import split_index, stream
 from .circuits import DynamicCircuit, TerminalSetting
 from .mitigation import EstimatorAccumulator, MitigationWeights, terminal_rem
 from .readout import ConfusionMatrix, SyndromeModel
@@ -166,17 +166,15 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
     """
     if layer.repeat == 1:
         return reports[0], np.ones(reports.shape[1], dtype=bool)
-    k = layer.m
-    bits = index_to_bits(reports, k).astype(np.int64)       # (repeat, batch, k)
-    ones = bits.sum(axis=0)                                  # (batch, k)
-    if layer.consensus == "majority":
-        cons_bits = (2 * ones > layer.repeat).astype(np.int64)
-        accepted = np.ones(reports.shape[1], dtype=bool)
-    else:  # unanimous
-        agree = (ones == 0) | (ones == layer.repeat)
-        accepted = agree.all(axis=1)
-        cons_bits = bits[0]
-    return bits_to_index(cons_bits), accepted
+    if layer.consensus == "unanimous":
+        # every bit agrees across the repetitions iff every report does
+        return reports[0], (reports == reports[0]).all(axis=0)
+    consensus = np.zeros(reports.shape[1], dtype=np.int64)
+    for j in range(layer.m):
+        bit = 1 << j
+        ones = np.count_nonzero(reports & bit, axis=0)
+        consensus[2 * ones > layer.repeat] |= bit
+    return consensus, np.ones(reports.shape[1], dtype=bool)
 
 
 def _gate_key(gate) -> tuple:
@@ -296,10 +294,12 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
     rep_counts, flip_counts = [], []
     for li, layer in enumerate(circuit.layers):
-        rep_counts.append(np.bincount(reporteds[li][accepted], minlength=1 << layer.m))
-        tb = index_to_bits(trues[li][accepted], layer.m).astype(np.int64)
-        cb = index_to_bits(reporteds[li][accepted], layer.m).astype(np.int64)
-        flip_counts.append((tb != cb).sum(axis=0))
+        reported = reporteds[li][accepted]
+        rep_counts.append(np.bincount(reported, minlength=1 << layer.m))
+        flips = trues[li][accepted] ^ reported
+        # bit 0 is the most significant bit of the outcome
+        flip_counts.append(np.array([np.count_nonzero(flips & (1 << (layer.m - 1 - j)))
+                                     for j in range(layer.m)], dtype=np.int64))
 
     result = RunResult(setting=setting, shots=size, accepted=int(accepted.sum()),
                        discarded=int(size - accepted.sum()), signed_counts=counts,

@@ -116,6 +116,119 @@ def perturbed_distribution(rng, q, scale):
 
 
 # ---------------------------------------------------------------------------
+# classical shot-path kernels as they were before the O(shots) rewrite: a
+# count over the gathered cumulative rows, np.unique splits, one gather per
+# distinct twirl mask, one boolean mask per true outcome and an alias build
+# on numpy scalars
+
+def measure_by_count(states, qubits, n, rng, rows=None, collapse=True):
+    """``engine.measure``, drawing outcomes by counting ``u >= cum[row]``."""
+    batch = states.shape[0]
+    k = len(qubits)
+    t = states.reshape((batch,) + (2,) * n)
+    axes = [1 + q for q in qubits]
+    rest = [ax for ax in range(1, n + 1) if ax not in axes]
+    t = np.ascontiguousarray(np.transpose(t, [0] + axes + rest)).reshape(batch, 1 << k, -1)
+
+    probs = np.square(np.abs(t)).sum(axis=2).astype(np.float64)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    # rounding can leave cum[-1] below a draw; such a draw takes the last
+    # outcome that has any probability, never a zero-probability one
+    last = (1 << k) - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+    shot_rows = np.arange(batch) if rows is None else np.asarray(rows)
+    u = rng.random(shot_rows.size)
+    outcomes = np.minimum((u[:, None] >= cum[shot_rows]).sum(axis=1),
+                          last[shot_rows]).astype(np.int64)
+    if not collapse:
+        return None, outcomes, None
+
+    branch, parent, kept_outcome = split_by_unique(shot_rows, outcomes, k)
+    kept = t[parent, kept_outcome, :]
+    norms = np.sqrt(probs[parent, kept_outcome]).astype(kept.real.dtype)
+    collapsed = np.zeros((parent.size,) + t.shape[1:], dtype=t.dtype)
+    collapsed[np.arange(parent.size), kept_outcome, :] = kept / norms[:, None]
+
+    inverse = np.argsort([0] + axes + rest)
+    out = np.transpose(collapsed.reshape((parent.size,) + (2,) * n), inverse)
+    out = np.ascontiguousarray(out).reshape(parent.size, 1 << n)
+    if rows is None:
+        return out, outcomes
+    return out, outcomes, branch
+
+
+def split_by_unique(rows, values, width):
+    """``engine.split`` through ``np.unique`` at every size."""
+    pairs, new_rows = np.unique(rows << width | values, return_inverse=True)
+    return new_rows.reshape(-1), pairs >> width, pairs & ((1 << width) - 1)
+
+
+def apply_x_masks_by_loop(states, qubits, masks, n):
+    """``engine.apply_x_masks`` as one ``np.ix_`` gather per distinct mask."""
+    masks = np.asarray(masks)
+    k = len(qubits)
+    if k == 0:
+        return states
+    idx = np.arange(states.shape[1])
+    for v in np.unique(masks):
+        if v == 0:
+            continue
+        full = 0
+        for j, q in enumerate(qubits):
+            if (int(v) >> (k - 1 - j)) & 1:
+                full |= 1 << (n - 1 - q)
+        sel = masks == v
+        states[sel] = states[np.ix_(sel.nonzero()[0], idx ^ full)]
+    return states
+
+
+class ScalarAliasSampler:
+    """``bits.AliasSampler`` with Vose's loop on numpy scalars."""
+
+    def __init__(self, probs):
+        p = np.asarray(probs, dtype=np.float64)
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("probs must be a non-empty 1-D array")
+        if np.any(p < 0):
+            raise ValueError("probs must be non-negative")
+        total = p.sum()
+        if total <= 0:
+            raise ValueError("probs must have positive total")
+        k = p.size
+        scaled = p * (k / total)
+        self.n = k
+        self.prob = np.ones(k, dtype=np.float64)
+        self.alias = np.arange(k, dtype=np.int64)
+        small = [i for i in range(k) if scaled[i] < 1.0]
+        large = [i for i in range(k) if scaled[i] >= 1.0]
+        while small and large:
+            s, g = small.pop(), large.pop()
+            self.prob[s] = scaled[s]
+            self.alias[s] = g
+            scaled[g] -= 1.0 - scaled[s]
+            (small if scaled[g] < 1.0 else large).append(g)
+        # leftovers are 1.0 within float error; tables already initialized
+
+    def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        i = rng.integers(0, self.n, size=size)
+        take_alias = rng.random(size=size) >= self.prob[i]
+        return np.where(take_alias, self.alias[i], i)
+
+
+def sample_reported_by_mask(confusion, true_outcomes, rng):
+    """``ConfusionMatrix.sample_reported`` with one boolean mask per
+    distinct true outcome."""
+    samplers = [ScalarAliasSampler(confusion.matrix[:, t])
+                for t in range(confusion.matrix.shape[1])]
+    true_outcomes = np.asarray(true_outcomes)
+    out = np.empty(true_outcomes.shape, dtype=np.int64)
+    for t in np.unique(true_outcomes):
+        sel = true_outcomes == t
+        out[sel] = samplers[int(t)].draw(rng, size=int(sel.sum()))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # per-shot batch routine: one statevector row per shot, no branching
 
 def _apply_table(states, layer, lookup, n):
@@ -151,8 +264,8 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
 def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                    noise: NoiseInjector | None, weights: MitigationWeights | None,
                    rng: np.random.Generator, dtype, collect: bool = False):
-    """The simulator's batch routine before shot branching, kept unchanged:
-    one statevector row per shot."""
+    """The simulator's batch routine before shot branching: one statevector
+    row per shot, on the kernels above."""
     n = circuit.n
     widths = circuit.layer_widths
     max_rep = max((layer.repeat for layer in circuit.layers), default=1)
@@ -181,13 +294,13 @@ def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
         if noise is not None and noise.matrices is not None and noise.bfa:
             twirl = rng.integers(0, 1 << layer.m, size=size)
-            states = engine.apply_x_masks(states, layer.measured, twirl, n)
-            states, twirled_true = engine.measure(states, layer.measured, n, rng)
-            states = engine.apply_x_masks(states, layer.measured, twirl, n)
+            states = apply_x_masks_by_loop(states, layer.measured, twirl, n)
+            states, twirled_true = measure_by_count(states, layer.measured, n, rng)
+            states = apply_x_masks_by_loop(states, layer.measured, twirl, n)
             true = twirled_true ^ twirl
         else:
             twirl = None
-            states, true = engine.measure(states, layer.measured, n, rng)
+            states, true = measure_by_count(states, layer.measured, n, rng)
 
         reports = np.empty((layer.repeat, size), dtype=np.int64)
         for j in range(layer.repeat):
@@ -198,9 +311,10 @@ def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
             elif noise.matrices is not None:
                 if noise.bfa:
                     tw = twirl if j == 0 else rng.integers(0, 1 << layer.m, size=size)
-                    reports[j] = noise.matrices[li].sample_reported(true ^ tw, rng) ^ tw
+                    reports[j] = sample_reported_by_mask(noise.matrices[li], true ^ tw,
+                                                         rng) ^ tw
                 else:
-                    reports[j] = noise.matrices[li].sample_reported(true, rng)
+                    reports[j] = sample_reported_by_mask(noise.matrices[li], true, rng)
             elif noise.forced is not None:
                 reports[j] = true ^ noise.forced[li]
             else:  # terminal-only injector
@@ -218,7 +332,7 @@ def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
     states = engine.apply_gates(states, setting.basis_gates, n)
     if setting.measured:
-        states, term = engine.measure(states, setting.measured, n, rng)
+        states, term = measure_by_count(states, setting.measured, n, rng)
         if noise is not None and noise.terminal is not None:
             term = term ^ noise.terminal.sample(rng, size)
     else:

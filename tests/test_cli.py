@@ -239,3 +239,42 @@ def test_size_cap_tables_exit_3(tmp_path, capsys, monkeypatch, experiment, param
                                        "shots": 10})
     assert cli.main(["run", "--config", cfg]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [1.7, "2", True, None, [2]])
+@pytest.mark.parametrize("experiment, parameters, key, noise", [
+    ("reset", {"n": 1}, "n", None),
+    ("ghz-unitary", {"n": 3}, "n", None),
+    ("ghz", {"b": 2, "p": 2}, "b", None),
+    ("ghz", {"b": 2, "p": 2}, "p", None),
+    ("teleport", {"k": 1}, "k", None),
+    ("calibration", {"m": 2}, "m", None),
+    ("reset", {"n": 2}, "m", {"kind": "uniform", "m": 2, "rate": 0.1}),
+])
+def test_non_integer_parameters_rejected(tmp_path, capsys, experiment, parameters, key,
+                                         noise, value):
+    cfg = {"experiment": experiment, "parameters": dict(parameters), "shots": 100}
+    if noise is None:
+        cfg["parameters"][key] = value
+    else:
+        cfg["noise"] = {**noise, key: value}
+    path = write(tmp_path, "cfg.json", cfg)
+    assert cli.main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer" in err
+
+
+@pytest.mark.parametrize("terminal", [{"kind": "uniform", "m": 1}, {"kind": "uniform", "m": 0.5,
+                                                                    "rate": 0.1}])
+def test_bad_terminal_noise_spec_exits_1(tmp_path, capsys, terminal):
+    cfg = reset_config(tmp_path, noise={"kind": "uniform", "m": 1, "rate": 0.1,
+                                        "terminal": terminal})
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_integral_float_parameters_accepted(tmp_path, capsys):
+    path = write(tmp_path, "cfg.json", {"experiment": "reset", "parameters": {"n": 2.0},
+                                        "noise": {"kind": "uniform", "m": 2.0, "rate": 0.1},
+                                        "shots": 100})
+    assert cli.main(["run", "--config", path]) == 0

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_circuit_dense
+from oracles import (ScalarAliasSampler, apply_circuit_dense, apply_x_masks_by_loop,
+                     measure_by_count, sample_reported_by_mask, split_by_unique)
 from promkit import engine
+from promkit.bits import AliasSampler
 from promkit.circuits import cx, h, rx, ry, rz, s, sdg, x, y, z
+from promkit.readout import ConfusionMatrix
 
 
 def random_gates(rng, n, count):
@@ -108,11 +111,6 @@ def test_apply_x_masks_matches_gates():
         assert np.allclose(flipped[k], want.reshape(-1), atol=1e-12)
 
 
-def test_probabilities():
-    state = engine.simulate_gates([h(0)], 1)
-    assert np.allclose(engine.probabilities(state), [0.5, 0.5])
-
-
 def test_measurement_determinism():
     states = engine.apply_gates(engine.zero_states(64, 2, dtype=np.complex128),
                                 [h(0), h(1)], 2)
@@ -126,6 +124,17 @@ class _TopRng:
 
     def random(self, size):
         return np.full(size, np.nextafter(1.0, 0.0))
+
+
+class _FixedRng:
+    """Stub generator that hands out the given uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
 
 
 def test_measure_rounding_gap_takes_last_possible_outcome():
@@ -152,3 +161,103 @@ def test_measure_rows_read_each_shot_against_its_row():
     _, drawn, none = engine.measure(states, (0, 1), 2, np.random.default_rng(0),
                                     rows=rows, collapse=False)
     assert drawn.tolist() == [3, 0, 3] and none is None
+
+
+def _sparse_rows(rng, rows, k):
+    """Real amplitude rows over k qubits, about a third of outcomes at zero
+    probability, and the normalized cumulative rows ``measure`` forms."""
+    p = rng.random((rows, 1 << k)) ** 2
+    p[rng.random(p.shape) < 0.35] = 0.0
+    p[np.arange(rows), rng.integers(0, 1 << k, rows)] += 0.1
+    states = np.sqrt(p)
+    probs = np.square(np.abs(states))
+    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    return states, cum
+
+
+@pytest.mark.parametrize("k, rows, shots", [(0, 3, 50), (1, 5, 400), (3, 7, 600),
+                                            (6, 4, 900), (8, 2, 300)])
+def test_measure_descent_matches_count(k, rows, shots):
+    rng = np.random.default_rng(k)
+    states, cum = _sparse_rows(rng, rows, k)
+    shot_rows = rng.integers(0, rows, shots)
+    # a third of the draws sit exactly on an entry of their row's cumulative
+    # distribution, a few just below one, and a few on its last entry
+    u = rng.random(shots)
+    tie = rng.random(shots) < 0.35
+    u[tie] = cum[shot_rows[tie], rng.integers(0, 1 << k, tie.sum())]
+    below = rng.random(shots) < 0.1
+    u[below] = np.nextafter(cum[shot_rows[below], rng.integers(0, 1 << k, below.sum())], 0.0)
+    top = rng.random(shots) < 0.05
+    u[top] = cum[shot_rows[top], -1]
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    qubits = tuple(range(k))
+    got = engine.measure(states.copy(), qubits, k, _FixedRng(u), rows=shot_rows)
+    want = measure_by_count(states.copy(), qubits, k, _FixedRng(u), rows=shot_rows)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    _, outcomes = engine.measure(states[shot_rows], qubits, k, _FixedRng(u))
+    assert np.array_equal(outcomes, want[1])
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_measure_matches_count_on_random_states(n, seed):
+    rng = np.random.default_rng(seed)
+    base = engine.apply_gates(engine.zero_states(3, n), random_gates(rng, n, 8), n)
+    qubits = tuple(int(q) for q in rng.permutation(n)[:rng.integers(1, n + 1)])
+    rows = rng.integers(0, 3, 200)
+    got = engine.measure(base.copy(), qubits, n, np.random.default_rng(seed), rows=rows)
+    want = measure_by_count(base.copy(), qubits, n, np.random.default_rng(seed), rows=rows)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("rows, width, shots", [(1, 2, 1), (3, 3, 100), (40, 4, 160),
+                                                (41, 4, 160), (300, 8, 8192), (2, 9, 100)])
+def test_split_dense_matches_unique(rows, width, shots):
+    # (40, 4, 160) is at the 4 x shots cutoff, (41, 4, 160) just above it
+    rng = np.random.default_rng(rows + width)
+    shot_rows = rng.integers(0, rows, shots)
+    shot_rows[0] = rows - 1
+    values = rng.integers(0, 1 << width, shots)
+    got = engine.split(shot_rows, values, width)
+    want = split_by_unique(shot_rows, values, width)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+@given(st.integers(1, 5), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_apply_x_masks_matches_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 40))
+    states = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    qubits = tuple(int(q) for q in rng.permutation(n)[:rng.integers(1, n + 1)])
+    masks = rng.integers(0, 1 << len(qubits), rows)
+    got = engine.apply_x_masks(states.copy(), qubits, masks, n)
+    assert np.array_equal(got, apply_x_masks_by_loop(states.copy(), qubits, masks, n))
+
+
+@given(st.integers(1, 300), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_alias_tables_match_scalar_build(size, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.random(size) ** 3
+    p[rng.random(size) < 0.3] = 0.0
+    p[rng.integers(size)] += 0.01
+    got, want = AliasSampler(p), ScalarAliasSampler(p)
+    assert got.n == want.n
+    assert got.prob.dtype == want.prob.dtype and got.prob.tobytes() == want.prob.tobytes()
+    assert got.alias.dtype == want.alias.dtype and got.alias.tobytes() == want.alias.tobytes()
+
+
+def test_sample_reported_matches_per_outcome_masks():
+    rng = np.random.default_rng(11)
+    cols = rng.random((8, 8)) ** 2 + 2.0 * np.eye(8)
+    cols[rng.random((8, 8)) < 0.3] = 0.0
+    confusion = ConfusionMatrix(cols / cols.sum(axis=0))
+    true = rng.integers(0, 6, 1000)  # outcomes 6 and 7 never occur
+    got = confusion.sample_reported(true, np.random.default_rng(12))
+    want = sample_reported_by_mask(confusion, true, np.random.default_rng(12))
+    assert got.dtype == want.dtype and np.array_equal(got, want)

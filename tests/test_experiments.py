@@ -182,11 +182,6 @@ class TestTeleport:
         t = oracle.exact_trajectory_tensor(c, obs)
         assert t.ideal(0) == pytest.approx(want, abs=1e-9)
 
-    def test_euclidean_error(self):
-        assert experiments.euclidean_error([1, 1], [1, 1]) == 0.0
-        assert experiments.euclidean_error([1, 0], [0, 0]) == pytest.approx(1.0)
-
-
 class TestRepStrategies:
     def test_apply_rep_strategy(self):
         c = experiments.build_teleport_circuit(1)

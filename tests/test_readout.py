@@ -129,12 +129,6 @@ def test_model_total_error():
     assert m.total_error() == pytest.approx(1 - 0.9 * 0.8)
 
 
-def test_as_model_coercion():
-    m = readout.as_model([0.9, 0.1])
-    assert isinstance(m, readout.GeneralModel)
-    assert readout.as_model(m) is m
-
-
 def test_calibrate():
     counts = np.array([900, 50, 40, 10])
     q = readout.calibrate(counts)
