@@ -158,13 +158,15 @@ def sample_independent_bits(rng: np.random.Generator, probs, size: int) -> np.nd
     """``size`` packed indices whose bit j is set with probability probs[j],
     independently across bits and draws."""
     u = rng.random((size, len(probs)))
-    bits = np.empty(u.shape, dtype=bool)
-    # one scalar compare per column: a broadcast compare against the probs
-    # vector allocates a ufunc buffer on every call, which raised the peak
-    # RSS of two-worker runs
+    out = np.zeros(size, dtype=np.int64)
+    hit = np.empty(size, dtype=bool)
+    # one scalar compare per column, shifted into the index in place: a
+    # broadcast compare against the probs vector allocates a ufunc buffer on
+    # every call, which raised the peak RSS of two-worker runs
     for j, p in enumerate(np.asarray(probs, dtype=np.float64).tolist()):
-        np.less(u[:, j], p, out=bits[:, j])
-    return bits_to_index(bits)
+        out <<= 1
+        out += np.less(u[:, j], p, out=hit)
+    return out
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

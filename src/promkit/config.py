@@ -7,8 +7,10 @@ per-observable estimates; re-running the same config + seed reproduces the
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
 import numbers
 import time
 
@@ -100,8 +102,27 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_integer(v, what) for v in values)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float: a finite integer or float, not a bool."""
+    if not isinstance(value, bool) and isinstance(value, (numbers.Integral, float)):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def _int_param(params: dict, key: str, default=None, required: bool = False) -> int:
     return _integer(_param(params, key, default, required), f"experiment parameter '{key}'")
+
+
+def _real_param(params: dict, key: str, default: float) -> float:
+    return _real(_param(params, key, default), f"experiment parameter '{key}'")
 
 
 def build_circuit(experiment: str, parameters: dict) -> DynamicCircuit:
@@ -117,13 +138,13 @@ def build_circuit(experiment: str, parameters: dict) -> DynamicCircuit:
         if experiment == "teleport":
             return experiments.build_teleport_circuit(
                 _int_param(parameters, "k", required=True),
-                float(_param(parameters, "phi_x", np.pi / 8)),
-                float(_param(parameters, "phi_z", 3 * np.pi / 8)))
+                _real_param(parameters, "phi_x", np.pi / 8),
+                _real_param(parameters, "phi_z", 3 * np.pi / 8))
         if experiment == "transport":
             return experiments.build_unitary_transport(
                 _int_param(parameters, "k", required=True),
-                float(_param(parameters, "phi_x", np.pi / 8)),
-                float(_param(parameters, "phi_z", 3 * np.pi / 8)))
+                _real_param(parameters, "phi_x", np.pi / 8),
+                _real_param(parameters, "phi_z", 3 * np.pi / 8))
         if experiment == "calibration":
             return experiments.build_calibration_circuit(_int_param(parameters, "m", required=True))
         if experiment == "custom":
@@ -143,15 +164,14 @@ def _parse_gate(item) -> Gate:
     if not isinstance(item, list) or not item or not isinstance(item[0], str):
         raise ConfigError(f"bad gate entry {item!r}")
     name, *args = item
-    try:
-        if name in _FIXED_GATES and len(args) == 1:
-            return _FIXED_GATES[name](int(args[0]))
-        if name in _ROTATIONS and len(args) == 2:
-            return _ROTATIONS[name](float(args[0]), int(args[1]))
-        if name == "cx" and len(args) == 2:
-            return cx(int(args[0]), int(args[1]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gate entry {item!r}: {exc}") from exc
+    qubit = f"qubit of gate {item!r}"
+    if name in _FIXED_GATES and len(args) == 1:
+        return _FIXED_GATES[name](_integer(args[0], qubit))
+    if name in _ROTATIONS and len(args) == 2:
+        return _ROTATIONS[name](_real(args[0], f"angle of gate {item!r}"),
+                                _integer(args[1], qubit))
+    if name == "cx" and len(args) == 2:
+        return cx(_integer(args[0], qubit), _integer(args[1], qubit))
     raise ConfigError(f"bad gate entry {item!r}")
 
 
@@ -164,11 +184,11 @@ def _parse_observable(spec: dict):
         raise ConfigError(f"bad observable {spec!r}")
     if "pauli" in spec:
         qubits = spec.get("qubits")
-        ob = PauliString(spec["pauli"],
-                         tuple(qubits) if qubits is not None else None,
-                         int(spec.get("sign", 1)))
+        if qubits is not None:
+            qubits = _integers(qubits, "observable 'qubits'")
+        ob = PauliString(spec["pauli"], qubits, _integer(spec.get("sign", 1), "observable 'sign'"))
     elif "zeros" in spec:
-        ob = ZeroProjector(tuple(spec["zeros"]))
+        ob = ZeroProjector(_integers(spec["zeros"], "observable 'zeros'"))
     else:
         raise ConfigError(f"observable {spec!r} needs 'pauli' or 'zeros'")
     return str(spec["name"]), ob
@@ -188,20 +208,21 @@ def load_circuit_file(path: str) -> DynamicCircuit:
         layers = []
         for spec in raw.get("layers", []):
             layers.append(FeedforwardLayer(
-                measured=tuple(spec["measured"]),
+                measured=_integers(spec["measured"], "layer 'measured'"),
                 table=tuple(_parse_gates(entry) for entry in spec["table"]),
                 pre_gates=_parse_gates(spec.get("pre")),
                 post_gates=_parse_gates(spec.get("post")),
-                repeat=int(spec.get("repeat", 1)),
+                repeat=_integer(spec.get("repeat", 1), "layer 'repeat'"),
                 consensus=spec.get("consensus", "none")))
         settings = []
         for spec in raw.get("settings", []):
             settings.append(TerminalSetting(
                 name=str(spec["name"]),
-                measured=tuple(spec["measured"]),
+                measured=_integers(spec["measured"], "setting 'measured'"),
                 observables=tuple(_parse_observable(ob) for ob in spec.get("observables", [])),
                 basis_gates=_parse_gates(spec.get("basis"))))
-        return DynamicCircuit(n=int(raw["n"]), prep=_parse_gates(raw.get("prep")),
+        return DynamicCircuit(n=_integer(raw["n"], "circuit 'n'"),
+                              prep=_parse_gates(raw.get("prep")),
                               layers=tuple(layers), settings=tuple(settings))
     except ConfigError:
         raise
@@ -215,9 +236,10 @@ def load_circuit_file(path: str) -> DynamicCircuit:
 def _build_model(spec: dict) -> SyndromeModel:
     kind = spec.get("kind")
     if kind == "uniform":
-        return UniformModel(_integer(spec["m"], "uniform noise 'm'"), float(spec["rate"]))
+        return UniformModel(_integer(spec["m"], "uniform noise 'm'"),
+                            _real(spec["rate"], "noise 'rate'"))
     if kind == "tensored":
-        return TensoredModel([float(r) for r in spec["rates"]])
+        return TensoredModel([_real(r, "noise 'rates'") for r in spec["rates"]])
     if kind == "layered":
         return LayeredModel([_build_model(p) for p in spec["parts"]])
     if kind == "general":
@@ -240,8 +262,10 @@ def build_noise(spec: dict | None) -> NoiseInjector | None:
         if spec["kind"] == "asymmetric":
             matrices = [ConfusionMatrix(np.asarray(mat, dtype=np.float64))
                         for mat in spec["matrices"]]
-            return NoiseInjector(matrices=matrices, bfa=bool(spec.get("bfa", True)),
-                                 terminal=terminal)
+            bfa = spec.get("bfa", True)
+            if not isinstance(bfa, bool):
+                raise ConfigError(f"noise 'bfa' must be true or false, got {bfa!r}")
+            return NoiseInjector(matrices=matrices, bfa=bfa, terminal=terminal)
         return NoiseInjector(model=_build_model(spec), terminal=terminal)
     except ConfigError:
         raise

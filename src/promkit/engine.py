@@ -2,18 +2,21 @@
 
 States are stored as a (rows, 2**n) array so that every row advances through
 each gate with a handful of vectorized operations.  The simulator keeps one
-row per branch, a distinct classical history shared by many shots;
-``measure`` draws each shot's outcome against its branch's row and splits
-the branches on the outcomes.  Qubit j (0 = most significant bit of the
-basis index) corresponds to axis 1 + j when the batch is viewed as
-(rows, 2, ..., 2).
+row per distinct state, shared by every shot whose history led to it;
+``measure`` draws each shot's outcome against its row and splits the rows
+on the outcomes, and ``merge_rows`` folds rows whose bytes became equal
+back into one.  Qubit j (0 = most significant bit of the basis index)
+corresponds to axis 1 + j when the batch is viewed as (rows, 2, ..., 2).
 
 The per-shot classical work is O(shots) per call: an outcome draw is a
 k-step binary descent over its row's cumulative distribution, a split
 numbers the distinct (row, value) keys with a dense presence table when the
-key space is small, and an X twirl is one gather of every row.
+key space is small, and an X twirl is one gather of every row.  A merge
+fingerprints each row once and compares bytes only within equal prints.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,6 +193,41 @@ def split(rows: np.ndarray, values: np.ndarray, width: int):
     else:
         pairs, new_rows = np.unique(keys, return_inverse=True)
     return new_rows.reshape(-1), pairs >> width, pairs & ((1 << width) - 1)
+
+
+@lru_cache(maxsize=8)
+def _multipliers(words: int) -> np.ndarray:
+    """``words`` fixed odd 64-bit constants, from a generator of their own."""
+    z = np.random.default_rng(0x5EED).integers(0, 1 << 64, size=words, dtype=np.uint64)
+    z |= np.uint64(1)
+    z.flags.writeable = False
+    return z
+
+
+def merge_rows(states: np.ndarray, branch: np.ndarray):
+    """Keep one row per distinct row content.
+
+    ``branch[i]`` is shot i's row.  Returns (states, branch) in which rows
+    with equal bytes are one row, so every shot reads the same bytes as
+    before.  Rows are grouped by a fingerprint, the sum mod 2**64 of their
+    64-bit words times fixed odd constants, and every row is then compared
+    with its group's first row; if any differs (a fingerprint collision),
+    nothing is merged.  Equal bytes keep -0.0 and +0.0 apart.
+    """
+    rows = states.shape[0]
+    if rows < 2:
+        return states, branch
+    # n >= 1, so a row holds at least 8 bytes
+    words = np.ascontiguousarray(states).view(np.uint64)
+    prints = words @ _multipliers(words.shape[1])
+    _, first, inverse = np.unique(prints, return_index=True, return_inverse=True)
+    if first.size == rows:
+        return states, branch
+    inverse = inverse.reshape(-1)
+    moved = np.flatnonzero(first[inverse] != np.arange(rows))
+    if not np.array_equal(words[moved], words[first[inverse[moved]]]):
+        return states, branch
+    return states[first], inverse[branch]
 
 
 def apply_x_masks(states: np.ndarray, qubits, masks: np.ndarray, n: int) -> np.ndarray:

@@ -10,12 +10,16 @@ Shots run in fixed-size batches; batch b of trial t draws all randomness from
 an independent stream keyed by (seed, t, b), so results are bit-identical for
 a given (config, seed) no matter how batches are scheduled across workers.
 
-Within a batch the statevector is evolved once per branch, not once per
-shot.  A branch is a distinct classical history: the BFA twirls, true
-outcomes and table entries met so far.  Branches split after each twirl, each
-mid-circuit measurement and each table lookup.  Every shot draws its own
-randomness in a fixed order and reads its outcome against its branch's row,
-so the records are those of a one-row-per-shot simulation.
+Within a batch the statevector is evolved once per distinct state, not once
+per shot.  Rows split after each twirl, each mid-circuit measurement and
+each table lookup, and after each table and each un-twirl the rows whose
+bytes are equal merge into one: feedforward that steers many histories to
+one state (a reset, say) leaves one row for them all.  State that nothing
+reads is not evolved: after the last layer of a setting that measures no
+qubit, the outcomes are drawn but no row is collapsed, un-twirled or
+tabled.  Every shot draws its own randomness in a fixed order and reads its
+outcome against a row with the same bytes as in a one-row-per-shot
+simulation, so the records are that simulation's.
 """
 from __future__ import annotations
 
@@ -203,8 +207,8 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                collect: bool = False):
     """Run one batch of ``size`` shots.
 
-    ``states`` holds one row per branch and ``branch[i]`` is shot i's row.
-    ``entry_keys`` is ``_entry_keys(circuit)``.
+    ``states`` holds one row per distinct state and ``branch[i]`` is shot
+    i's row.  ``entry_keys`` is ``_entry_keys(circuit)``.
     """
     n = circuit.n
     widths = circuit.layer_widths
@@ -230,7 +234,10 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
     accepted = np.ones(size, dtype=bool)
     trues, reporteds, lookups = [], [], []
+    last = len(circuit.layers) - 1
     for li, layer in enumerate(circuit.layers):
+        # the state after the last layer is read only by a terminal measurement
+        live = li < last or bool(setting.measured)
         states = engine.apply_gates(states, layer.pre_gates, n)
 
         if noise is not None and noise.matrices is not None and noise.bfa:
@@ -238,15 +245,18 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
             branch, parent, row_twirl = engine.split(branch, twirl, layer.m)
             states = engine.apply_x_masks(states[parent], layer.measured, row_twirl, n)
             states, twirled_true, branch = engine.measure(states, layer.measured, n, rng,
-                                                          rows=branch)
-            # undo each collapsed row's twirl, which all of its shots share
-            row_twirl = np.empty(states.shape[0], dtype=np.int64)
-            row_twirl[branch] = twirl
-            states = engine.apply_x_masks(states, layer.measured, row_twirl, n)
+                                                          rows=branch, collapse=live)
             true = twirled_true ^ twirl
+            if live:
+                # undo each collapsed row's twirl, which all of its shots share
+                row_twirl = np.empty(states.shape[0], dtype=np.int64)
+                row_twirl[branch] = twirl
+                states = engine.apply_x_masks(states, layer.measured, row_twirl, n)
+                states, branch = engine.merge_rows(states, branch)
         else:
             twirl = None
-            states, true, branch = engine.measure(states, layer.measured, n, rng, rows=branch)
+            states, true, branch = engine.measure(states, layer.measured, n, rng, rows=branch,
+                                                  collapse=live)
 
         reports = np.empty((layer.repeat, size), dtype=np.int64)
         for j in range(layer.repeat):
@@ -268,16 +278,18 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         consensus, layer_ok = _consensus(reports, layer)
         accepted &= layer_ok
         lookup = consensus ^ mask_parts[li]
-        branch, parent, row_entry = engine.split(branch, entry_keys[li][lookup], layer.m)
-        states = _apply_table(states[parent], layer, row_entry, n)
-        states = engine.apply_gates(states, layer.post_gates, n)
+        if live:
+            branch, parent, row_entry = engine.split(branch, entry_keys[li][lookup], layer.m)
+            states = _apply_table(states[parent], layer, row_entry, n)
+            states, branch = engine.merge_rows(states, branch)
+            states = engine.apply_gates(states, layer.post_gates, n)
 
         trues.append(true)
         reporteds.append(consensus)
         lookups.append(lookup)
 
-    states = engine.apply_gates(states, setting.basis_gates, n)
     if setting.measured:
+        states = engine.apply_gates(states, setting.basis_gates, n)
         _, term, _ = engine.measure(states, setting.measured, n, rng, rows=branch,
                                     collapse=False)
         if noise is not None and noise.terminal is not None:

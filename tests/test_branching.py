@@ -1,9 +1,10 @@
 """Differential tests: the branching simulator against the per-shot routine.
 
-The simulator evolves one statevector per distinct classical history; the
-reference in ``oracles.per_shot_batch`` evolves one per shot.  Both draw the
-same randomness in the same order, so every count and every shot record must
-be equal, not merely close.
+The simulator evolves one statevector per distinct state: rows split on
+twirls, outcomes and table entries, and rows whose bytes become equal merge.
+The reference in ``oracles.per_shot_batch`` evolves one per shot.  Both draw
+the same randomness in the same order, so every count and every shot record
+must be equal, not merely close.
 """
 import math
 

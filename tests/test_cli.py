@@ -278,3 +278,54 @@ def test_integral_float_parameters_accepted(tmp_path, capsys):
                                         "noise": {"kind": "uniform", "m": 2.0, "rate": 0.1},
                                         "shots": 100})
     assert cli.main(["run", "--config", path]) == 0
+
+
+def custom_config(tmp_path, circuit):
+    path = write(tmp_path, "circuit.json", circuit)
+    return {"experiment": "custom", "parameters": {"path": path}, "shots": 10}
+
+
+ONE_QUBIT = {"n": 1, "prep": [["h", 0]],
+             "settings": [{"name": "t", "measured": [0],
+                           "observables": [{"name": "z", "pauli": "Z"}]}]}
+
+
+@pytest.mark.parametrize("case", [
+    {"n": 1.9},
+    {"layers": [{"measured": [0.0], "table": [[], []], "repeat": 1.5}]},
+    {"layers": [{"measured": [0.5], "table": [[], []]}]},
+    {"prep": [["h", 0.5]]},
+    {"n": 2, "prep": [["cx", 0, True]]},
+    {"prep": [["rx", float("nan"), 0]]},
+    {"prep": [["ry", "0.3", 0]]},
+    {"settings": [{"name": "t", "measured": [0.5]}]},
+    {"settings": [{"name": "t", "measured": [0],
+                   "observables": [{"name": "z", "pauli": "Z", "sign": 1.5}]}]},
+    {"settings": [{"name": "t", "measured": [0],
+                   "observables": [{"name": "z", "pauli": "Z", "qubits": [0.5]}]}]},
+    {"phi_x": float("nan")},
+    {"phi_x": True},
+    {"phi_z": float("inf")},
+    {"phi_z": "0.3"},
+    {"phi_x": 10 ** 400},
+    {"rate": True},
+    {"bfa": "false"},
+])
+def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
+    """Circuit-file integers, angles, noise rates and the bfa switch of the
+    wrong type, with a fractional part, or not finite end in an error line,
+    not a coerced run or a traceback."""
+    if "phi_x" in case or "phi_z" in case:
+        cfg = {"experiment": "teleport", "parameters": {"k": 1, **case}, "shots": 10}
+    elif "rate" in case:
+        cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10,
+               "noise": {"kind": "uniform", "m": 1, **case}}
+    elif "bfa" in case:
+        # a string is not a switch: "false" used to turn bit-flip averaging on
+        cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10,
+               "noise": {"kind": "asymmetric", "matrices": [[[0.9, 0.3], [0.1, 0.7]]], **case}}
+    else:
+        cfg = custom_config(tmp_path, {**ONE_QUBIT, **case})
+    path = write(tmp_path, "cfg.json", cfg)
+    assert cli.main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")

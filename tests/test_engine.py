@@ -261,3 +261,60 @@ def test_sample_reported_matches_per_outcome_masks():
     got = confusion.sample_reported(true, np.random.default_rng(12))
     want = sample_reported_by_mask(confusion, true, np.random.default_rng(12))
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _rows_with_repeats(rng, distinct, copies, n, dtype):
+    """(states, branch): ``distinct`` random rows, each stored ``copies``
+    times in a shuffled order, and shots reading every row."""
+    base = rng.normal(size=(distinct, 1 << n))
+    if np.iscomplexobj(np.empty(0, dtype=dtype)):
+        base = base + 1j * rng.normal(size=base.shape)
+    states = np.repeat(base.astype(dtype), copies, axis=0)[rng.permutation(distinct * copies)]
+    branch = rng.integers(0, states.shape[0], 3 * states.shape[0])
+    return states, branch
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.float32), (1, np.complex128), (3, np.float32),
+                                      (4, np.complex64), (2, np.float64)])
+@pytest.mark.parametrize("distinct, copies", [(1, 1), (1, 5), (7, 1), (7, 3)])
+def test_merge_rows_keeps_one_row_per_content(n, dtype, distinct, copies):
+    rng = np.random.default_rng(distinct * copies + n)
+    states, branch = _rows_with_repeats(rng, distinct, copies, n, dtype)
+    merged, new_branch = engine.merge_rows(states.copy(), branch)
+    assert merged.dtype == states.dtype and new_branch.dtype == branch.dtype
+    # every shot reads the same bytes as before
+    assert merged[new_branch].tobytes() == states[branch].tobytes()
+    # and no two rows are left with equal bytes
+    assert len({row.tobytes() for row in merged}) == merged.shape[0] == distinct
+
+
+def test_merge_rows_draws_no_randomness():
+    rng = np.random.default_rng(5)
+    states, branch = _rows_with_repeats(rng, 4, 3, 2, np.complex64)
+    before = rng.bit_generator.state
+    engine.merge_rows(states, branch)
+    assert rng.bit_generator.state == before
+
+
+def test_merge_rows_keeps_signed_zeros_apart():
+    states = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
+    merged, branch = engine.merge_rows(states, np.array([0, 1, 2, 1]))
+    assert merged.shape[0] == 2
+    assert merged[branch].tobytes() == states[[0, 1, 2, 1]].tobytes()
+
+
+def test_merge_rows_collision_merges_nothing(monkeypatch):
+    # with every multiplier 1 a fingerprint is the plain sum of the words,
+    # so the rows (a, b) and (b, a) collide
+    monkeypatch.setattr(engine, "_multipliers",
+                        lambda words: np.ones(words, dtype=np.uint64))
+    a, b = 0.25, 0.5
+    states = np.array([[a, b], [b, a], [a, b]], dtype=np.float64)
+    branch = np.array([0, 1, 2, 2, 0])
+    merged, new_branch = engine.merge_rows(states, branch)
+    assert merged is states and new_branch is branch
+    # with the real multipliers the same rows merge to two
+    monkeypatch.undo()
+    merged, new_branch = engine.merge_rows(states, branch)
+    assert merged.shape[0] == 2
+    assert merged[new_branch].tobytes() == states[branch].tobytes()

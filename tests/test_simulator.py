@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from promkit import simulator
+from oracles import per_shot_run
+from promkit import engine, experiments, simulator
 from promkit.bits import stream
 from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
                               TerminalSetting, ZeroProjector, cx, h, s, x,
                               xor_feedback_table)
 from promkit.mitigation import EstimatorAccumulator, solve_weights
-from promkit.readout import ConfusionMatrix, GeneralModel, TensoredModel, UniformModel
+from promkit.readout import (ConfusionMatrix, GeneralModel, TensoredModel, UniformModel,
+                             calibrate)
 from promkit.simulator import (NoiseInjector, batch_size_for, estimate_observables,
                                run_shot, run_shots)
 
@@ -220,6 +222,37 @@ def test_bfa_requires_matrix_mode():
     # symmetrized channel: flips at rate 0.1 regardless of the true bit
     rate = res.layer_flip_counts[0][0] / res.accepted
     assert rate == pytest.approx(0.1, abs=0.01)
+
+
+def test_state_after_the_last_layer_is_not_evolved_unless_measured(monkeypatch):
+    # calibration measures every bit in its only layer and nothing after it:
+    # the outcomes are drawn, but no row is collapsed, un-twirled or tabled
+    m, shots = 3, 5000
+    circuit = experiments.build_calibration_circuit(m)
+    matrix = np.kron(np.kron([[0.97, 0.06], [0.03, 0.94]], [[0.99, 0.02], [0.01, 0.98]]),
+                     [[0.95, 0.1], [0.05, 0.9]])
+    noise = NoiseInjector(matrices=[ConfusionMatrix(matrix)], bfa=True)
+    want = calibrate(per_shot_run(circuit, circuit.settings[0], shots, noise=noise,
+                                  seed=6).layer_reported_counts[0])
+
+    tables, collapses, twirls = [], [], []
+    measure, apply_x_masks = engine.measure, engine.apply_x_masks
+
+    def measure_spy(*args, collapse=True, **kwargs):
+        collapses.append(collapse)
+        return measure(*args, collapse=collapse, **kwargs)
+
+    def apply_x_masks_spy(*args):
+        twirls.append(args)
+        return apply_x_masks(*args)
+
+    monkeypatch.setattr(simulator, "_apply_table", lambda *args: tables.append(args))
+    monkeypatch.setattr(engine, "measure", measure_spy)
+    monkeypatch.setattr(engine, "apply_x_masks", apply_x_masks_spy)
+    q_hat = experiments.run_calibration(m, shots, noise=noise, seed=6)
+    assert tables == [] and collapses == [False]
+    assert len(twirls) == 1  # the twirl before the measurement, not its undoing
+    assert q_hat.tobytes() == want.tobytes()
 
 
 def test_multi_layer_mask_split():
