@@ -34,8 +34,8 @@ from .readout import (ConfusionMatrix, GeneralModel, LayeredModel,
                       eigenvalues, marginalize, symmetrize, total_error,
                       total_variation_distance)
 from .simulator import (NoiseInjector, ObservableEstimate, RunResult,
-                        aggregate_estimate, estimate_observables, run_shot,
-                        run_shots)
+                        aggregate_estimate, estimate_observables, run_settings,
+                        run_shot, run_shots)
 
 __all__ = [
     "__version__",
@@ -66,5 +66,5 @@ __all__ = [
     "symmetrize", "total_error", "total_variation_distance",
     # simulator
     "NoiseInjector", "ObservableEstimate", "RunResult", "aggregate_estimate",
-    "estimate_observables", "run_shot", "run_shots",
+    "estimate_observables", "run_settings", "run_shot", "run_shots",
 ]

@@ -52,14 +52,6 @@ def index_to_bits(s, m: int) -> np.ndarray:
     return ((s[..., None] >> shifts) & 1).astype(np.uint8)
 
 
-def bits_to_index(bits) -> np.ndarray:
-    """Inverse of index_to_bits along the last axis."""
-    bits = np.asarray(bits)
-    m = bits.shape[-1]
-    weights = 1 << np.arange(m - 1, -1, -1)
-    return (bits.astype(np.int64) @ weights).astype(np.int64)
-
-
 def popcount(s) -> np.ndarray:
     """Number of set bits; vectorized."""
     return np.bitwise_count(np.asarray(s, dtype=np.int64))
@@ -150,8 +142,15 @@ class AliasSampler:
 
     def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
         i = rng.integers(0, self.n, size=size)
-        take_alias = rng.random(size=size) >= self.prob[i]
-        return np.where(take_alias, self.alias[i], i)
+        return alias_lookup(self.prob, self.alias, i, i, rng.random(size=size))
+
+
+def alias_lookup(prob, alias, at, i, u) -> np.ndarray:
+    """Outcomes of alias-table draws: slot ``i`` when its uniform ``u`` is
+    below the slot's keep probability, else the slot's alias.  ``at`` indexes
+    the slots in ``prob`` and ``alias``: ``i`` for one table, ``(table, i)``
+    for a stack of tables."""
+    return np.where(u >= prob[at], alias[at], i)
 
 
 def sample_independent_bits(rng: np.random.Generator, probs, size: int) -> np.ndarray:

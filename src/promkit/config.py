@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import time
+from array import array
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .mitigation import (GeneralWeights, MitigationWeights, TensoredWeights,
 from .readout import (ConfusionMatrix, GeneralModel, LayeredModel,
                       SyndromeModel, TensoredModel, UniformModel)
 from .simulator import (NoiseInjector, aggregate_estimate, estimate_observables,
-                        run_shots)
+                        run_settings)
 
 
 class ConfigError(ValueError):
@@ -115,6 +116,44 @@ def _real(value, what: str) -> float:
             if math.isfinite(value):
                 return float(value)
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _reals(values, what: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return [_real(v, what) for v in values]
+
+
+def _real_table(values, what: str, ndim: int) -> np.ndarray:
+    """``values``, a list (``ndim`` 1) or a list of equal-length lists
+    (``ndim`` 2) of finite numbers that are not bools, as a float64 array.
+
+    ``array.fromlist`` reads the rows at C speed and refuses any entry that
+    is not a real number, and then ``_real`` names it.  It reads a bool as 0
+    or 1, so only the rows that hold an exact 0 or 1 have the types of their
+    entries looked at one by one.
+    """
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list, got {values!r}")
+    rows = values if ndim == 2 else [values]
+    flat = array("d")
+    try:
+        for row in rows:
+            flat.fromlist(row)
+    except (TypeError, OverflowError):
+        for row in rows:
+            _reals(row, what)
+        raise
+    if len(set(map(len, rows))) > 1:
+        raise ConfigError(f"{what} must have rows of equal length")
+    table = np.frombuffer(flat).reshape(len(rows), -1)
+    if not np.isfinite(table).all():
+        for row in rows:
+            _reals(row, what)
+    for i in np.flatnonzero(((table == 0) | (table == 1)).any(axis=1)).tolist():
+        if bool in set(map(type, rows[i])):
+            _reals(rows[i], what)
+    return table if ndim == 2 else table[0]
 
 
 def _int_param(params: dict, key: str, default=None, required: bool = False) -> int:
@@ -239,11 +278,11 @@ def _build_model(spec: dict) -> SyndromeModel:
         return UniformModel(_integer(spec["m"], "uniform noise 'm'"),
                             _real(spec["rate"], "noise 'rate'"))
     if kind == "tensored":
-        return TensoredModel([_real(r, "noise 'rates'") for r in spec["rates"]])
+        return TensoredModel(_reals(spec["rates"], "noise 'rates'"))
     if kind == "layered":
         return LayeredModel([_build_model(p) for p in spec["parts"]])
     if kind == "general":
-        return GeneralModel(np.asarray(spec["q"], dtype=np.float64))
+        return GeneralModel(_real_table(spec["q"], "noise 'q'", 1))
     raise ConfigError(f"unknown noise model kind {kind!r}")
 
 
@@ -260,7 +299,7 @@ def build_noise(spec: dict | None) -> NoiseInjector | None:
     try:
         terminal = _build_model(terminal_spec) if terminal_spec is not None else None
         if spec["kind"] == "asymmetric":
-            matrices = [ConfusionMatrix(np.asarray(mat, dtype=np.float64))
+            matrices = [ConfusionMatrix(_real_table(mat, "noise 'matrices'", 2))
                         for mat in spec["matrices"]]
             bfa = spec.get("bfa", True)
             if not isinstance(bfa, bool):
@@ -363,15 +402,17 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
             raise ConfigError("terminal_rem needs noise with a 'terminal' channel")
         terminal_q = noise.terminal.expand()
 
+    settings = circuit.settings
+    runs = run_settings(circuit, [(setting, cfg["shots"],
+                                   _setting_trial_stream(trial, index, len(settings)))
+                                  for trial in range(cfg["trials"])
+                                  for index, setting in enumerate(settings)],
+                        noise=noise, weights=weights, seed=cfg["seed"], workers=workers)
     trials = []
     for trial in range(cfg["trials"]):
-        per_setting, results = [], []
-        for index, setting in enumerate(circuit.settings):
-            result = run_shots(circuit, setting, cfg["shots"], noise=noise,
-                               weights=weights, seed=cfg["seed"],
-                               trial=_setting_trial_stream(trial, index, len(circuit.settings)),
-                               workers=workers)
-            results.append(result)
+        per_setting = []
+        results = runs[trial * len(settings):(trial + 1) * len(settings)]
+        for setting, result in zip(settings, results):
             estimates = estimate_observables(result, terminal_q=terminal_q)
             per_setting.append({
                 "setting": setting.name,

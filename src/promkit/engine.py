@@ -116,18 +116,17 @@ def simulate_gates(gates, n: int, state: np.ndarray | None = None,
 
 
 def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
-            rows: np.ndarray | None = None, collapse: bool = True):
+            rows: np.ndarray, collapse: bool = True):
     """Sample and collapse a computational-basis measurement of ``qubits``.
 
-    Shot i reads its outcome from state row ``rows[i]`` (default: row i) with
-    one uniform draw u against that row's cumulative distribution: the
-    outcome is the number of cumulative entries <= u, found by a k-step
-    binary descent; outcome bit 0 is the first listed qubit.  Without
-    ``rows``, returns (collapsed states, outcomes) with one renormalized row
-    per shot.  With ``rows``, returns (collapsed states, outcomes, branch):
-    one renormalized row per distinct (row, outcome) pair, in sorted order,
-    and each shot's index into them.  ``collapse=False`` skips the collapsed
-    rows (states and branch are None) when only the outcomes are needed.
+    Shot i reads its outcome from state row ``rows[i]`` with one uniform draw
+    u against that row's cumulative distribution: the outcome is the number
+    of cumulative entries <= u, found by a k-step binary descent; outcome
+    bit 0 is the first listed qubit.  Returns (collapsed states, outcomes,
+    branch): one renormalized row per distinct (row, outcome) pair, in sorted
+    order, and each shot's index into them.  ``collapse=False`` skips the
+    collapsed rows (states and branch are None) when only the outcomes are
+    needed.
     """
     batch = states.shape[0]
     k = len(qubits)
@@ -142,7 +141,7 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     # rounding can leave cum[-1] below a draw; such a draw takes the last
     # outcome that has any probability, never a zero-probability one
     last = (1 << k) - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
-    shot_rows = np.arange(batch) if rows is None else np.asarray(rows)
+    shot_rows = np.asarray(rows)
     u = rng.random(shot_rows.size)
     # cum rows are non-decreasing, so the entries <= u form a prefix: find
     # its length below 2**k bit by bit, then compare against the last entry
@@ -166,8 +165,6 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     inverse = np.argsort([0] + axes + rest)
     out = np.transpose(collapsed.reshape((parent.size,) + (2,) * n), inverse)
     out = np.ascontiguousarray(out).reshape(parent.size, 1 << n)
-    if rows is None:
-        return out, outcomes
     return out, outcomes, branch
 
 

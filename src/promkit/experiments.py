@@ -15,7 +15,7 @@ from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                        TerminalSetting, ZeroProjector, cx, h, ry, rx, rz, sdg,
                        x, xor_feedback_table, z)
 from .readout import calibrate
-from .simulator import NoiseInjector, RunResult, run_shots
+from .simulator import NoiseInjector, RunResult, run_settings, run_shots
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +191,9 @@ def run_ghz_fidelity(circuit: DynamicCircuit, shots_per_setting: int, *,
     ``config.run_config`` runs them (see ``simulator.aggregate_estimate``).
     """
     circuit = replace(circuit, **_ghz_readout(circuit.n))
-    results = [run_shots(circuit, setting, shots_per_setting, noise=noise,
-                         weights=weights, seed=seed, trial=index, workers=workers)
-               for index, setting in enumerate(circuit.settings)]
+    results = run_settings(circuit, [(setting, shots_per_setting, index)
+                                     for index, setting in enumerate(circuit.settings)],
+                           noise=noise, weights=weights, seed=seed, workers=workers)
     f_est, f_err = simulator.aggregate_estimate(results, scale=circuit.aggregate[1])
     return f_est, f_err, results
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (AliasSampler, check_size, fwht, num_bits,
+from .bits import (AliasSampler, alias_lookup, check_size, fwht, num_bits,
                    sample_independent_bits)
 
 PROB_ATOL = 1e-9
@@ -103,26 +103,37 @@ class ConfusionMatrix:
         if np.any(np.abs(col - 1.0) > 1e-6):
             raise ValueError("confusion matrix columns must sum to 1")
         self.matrix = np.clip(m, 0.0, None)
-        self._col_samplers: list[AliasSampler] | None = None
+        # per true outcome (row), its column's alias keep probabilities and
+        # aliases, built on the first draw
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def symmetrize(self) -> np.ndarray:
         return symmetrize(self)
 
     def sample_reported(self, true_outcomes, rng: np.random.Generator) -> np.ndarray:
-        """Draw reported outcomes column-wise for a 1-D array of true outcomes."""
-        if self._col_samplers is None:
-            self._col_samplers = [AliasSampler(self.matrix[:, t])
-                                  for t in range(self.matrix.shape[1])]
+        """Draw reported outcomes column-wise for a 1-D array of true outcomes.
+
+        Shots are grouped by true outcome, ascending, each group in shot order.
+        Each group draws its alias slots, then its uniforms; one lookup then
+        reads the stacked column tables for the whole batch.
+        """
+        if self._tables is None:
+            samplers = [AliasSampler(self.matrix[:, t]) for t in range(self.matrix.shape[1])]
+            self._tables = (np.stack([s.prob for s in samplers]),
+                            np.stack([s.alias for s in samplers]))
+        prob, alias = self._tables
         true_outcomes = np.asarray(true_outcomes)
-        out = np.empty(true_outcomes.shape, dtype=np.int64)
-        # shots grouped by true outcome, ascending, each group in shot order
         order = np.argsort(true_outcomes, kind="stable")
-        sizes = np.bincount(true_outcomes).tolist()
+        slot = np.empty(order.size, dtype=np.int64)
+        u = np.empty(order.size, dtype=np.float64)
         start = 0
-        for t, count in enumerate(sizes):
+        for count in np.bincount(true_outcomes).tolist():
             if count:
-                out[order[start:start + count]] = self._col_samplers[t].draw(rng, size=count)
+                slot[start:start + count] = rng.integers(0, prob.shape[1], size=count)
+                rng.random(out=u[start:start + count])
                 start += count
+        out = np.empty(true_outcomes.shape, dtype=np.int64)
+        out[order] = alias_lookup(prob, alias, (true_outcomes[order], slot), slot, u)
         return out
 
 

@@ -7,8 +7,16 @@ lookup.  Mitigation masks are XORed onto the reported outcome before the
 lookup, and each shot carries the sign of its mask's quasiprobability weight.
 
 Shots run in fixed-size batches; batch b of trial t draws all randomness from
-an independent stream keyed by (seed, t, b), so results are bit-identical for
-a given (config, seed) no matter how batches are scheduled across workers.
+an independent stream keyed by (seed, t, b), and a run's counts are integer
+sums over its batches, so results are bit-identical for a given (config, seed)
+no matter how batches are scheduled across workers.  ``run_settings`` takes
+every (setting, shots, trial) job of a run in one call.  With one worker its
+batches run in this process, in order.  With ``workers`` > 1 it forks
+``workers`` - 1 processes once per call, which inherit the circuit, noise and
+weights instead of receiving them pickled; this process runs its own share of
+the batches while they run theirs, and they send back only counts.  Batches
+are generated lazily, with a few per child in flight.  Where the ``fork``
+start method does not exist, every batch runs in this process.
 
 Within a batch the statevector is evolved once per distinct state, not once
 per shot.  Rows split after each twirl, each mid-circuit measurement and
@@ -23,7 +31,8 @@ simulation, so the records are that simulation's.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,43 +338,123 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
     return result, records
 
 
+Job = tuple[TerminalSetting, int, int]  # (setting, shots, trial)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Everything a batch of a ``run_settings`` call reads besides its index."""
+
+    circuit: DynamicCircuit
+    jobs: tuple[Job, ...]
+    noise: NoiseInjector | None
+    weights: MitigationWeights | None
+    seed: int
+    dtypes: tuple
+    entry_keys: list[np.ndarray]
+
+    def batch(self, j: int, b: int, size: int) -> RunResult:
+        setting, _, trial = self.jobs[j]
+        return _run_batch(self.circuit, setting, size, self.noise, self.weights,
+                          stream(self.seed, trial, b), self.dtypes[j], self.entry_keys)
+
+
+# the run of a forked child, set by _init_child in the child only
+_child_run: _Run | None = None
+
+
+def _init_child(run: _Run) -> None:
+    global _child_run
+    _child_run = run
+
+
+def _child_batch(j: int, b: int, size: int) -> tuple[int, RunResult]:
+    result = _child_run.batch(j, b, size)
+    result.setting = None  # the parent has it; only counts go back
+    return j, result
+
+
+def _batches(jobs, batch: int):
+    """(job, batch index, shots) of every batch of every job, lazily."""
+    for j, (_, shots, _) in enumerate(jobs):
+        for b, start in enumerate(range(0, shots, batch)):
+            yield j, b, min(batch, shots - start)
+
+
+def _run_forked(run: _Run, tasks, children: int, add) -> None:
+    """Run ``tasks`` across ``children`` forked processes and this one.
+
+    Each child keeps about two batches in flight; this process runs the next
+    batch itself whenever they have enough, and hands ``add`` every result.
+    """
+    pool = ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_child, initargs=(run,))
+    pending = set()
+    try:
+        for j, b, size in tasks:
+            if len(pending) < 2 * children:
+                pending.add(pool.submit(_child_batch, j, b, size))
+                continue
+            add(j, run.batch(j, b, size))
+            done = {future for future in pending if future.done()}
+            pending -= done
+            for future in done:
+                add(*future.result())
+        for future in wait(pending).done:
+            add(*future.result())
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
+                 noise: NoiseInjector | None = None,
+                 weights: MitigationWeights | None = None,
+                 seed: int = 0, workers: int = 1, dtype=None) -> list[RunResult]:
+    """Run every ``(setting, shots, trial)`` job; one aggregated result per job.
+
+    With ``workers`` > 1, up to ``workers`` - 1 forked processes share the
+    batches with this one (see the module docstring); the results do not
+    depend on ``workers``.
+    """
+    jobs = tuple(jobs)
+    for setting, shots, _ in jobs:
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        if noise is not None:
+            noise.validate_for(circuit, setting)
+    if weights is not None and weights.m != circuit.m:
+        raise ValueError(f"weights cover {weights.m} bits, circuit measures {circuit.m}")
+    run = _Run(circuit, jobs, noise, weights, seed,
+               tuple(_pick_dtype(circuit, setting, dtype) for setting, _, _ in jobs),
+               _entry_keys(circuit))
+
+    batch = batch_size_for(circuit.n)
+    results: list[RunResult | None] = [None] * len(jobs)
+
+    def add(j: int, part: RunResult) -> None:
+        results[j] = part if results[j] is None else results[j].merge(part)
+
+    tasks = _batches(jobs, batch)
+    children = min(workers, sum(-(-shots // batch) for _, shots, _ in jobs)) - 1
+    if children > 0 and "fork" in multiprocessing.get_all_start_methods():
+        _run_forked(run, tasks, children, add)
+    else:
+        for j, b, size in tasks:
+            add(j, run.batch(j, b, size))
+    for result, (setting, _, _) in zip(results, jobs):
+        result.setting = setting
+    return results
+
+
 def run_shots(circuit: DynamicCircuit, setting: TerminalSetting, shots: int, *,
               noise: NoiseInjector | None = None,
               weights: MitigationWeights | None = None,
               seed: int = 0, trial: int = 0, workers: int = 1,
               dtype=None) -> RunResult:
-    """Run ``shots`` shots of one terminal setting and aggregate the counts."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    if noise is not None:
-        noise.validate_for(circuit, setting)
-    if weights is not None and weights.m != circuit.m:
-        raise ValueError(f"weights cover {weights.m} bits, circuit measures {circuit.m}")
-    dtype = _pick_dtype(circuit, setting, dtype)
-
-    batch = batch_size_for(circuit.n)
-    sizes = [batch] * (shots // batch)
-    if shots % batch:
-        sizes.append(shots % batch)
-
-    entry_keys = _entry_keys(circuit)
-
-    def one(args):
-        b, sz = args
-        return _run_batch(circuit, setting, sz, noise, weights,
-                          stream(seed, trial, b), dtype, entry_keys)
-
-    tasks = list(enumerate(sizes))
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, tasks))
-    else:
-        parts = [one(t) for t in tasks]
-
-    total = parts[0]
-    for p in parts[1:]:
-        total.merge(p)
-    return total
+    """Run ``shots`` shots of one terminal setting and aggregate the counts:
+    ``run_settings`` with one job."""
+    return run_settings(circuit, [(setting, shots, trial)], noise=noise, weights=weights,
+                        seed=seed, workers=workers, dtype=dtype)[0]
 
 
 def run_shot(circuit: DynamicCircuit, setting: TerminalSetting,

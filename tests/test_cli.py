@@ -310,16 +310,34 @@ ONE_QUBIT = {"n": 1, "prep": [["h", 0]],
     {"phi_x": 10 ** 400},
     {"rate": True},
     {"bfa": "false"},
+    # every entry of a general q and of a confusion matrix: numeric strings,
+    # bools and NaN used to be coerced and run
+    {"noise": {"kind": "general", "q": ["0.9", "0.1"]}},
+    {"noise": {"kind": "general", "q": [True, False]}},
+    {"noise": {"kind": "general", "q": [0.0, True]}},
+    {"noise": {"kind": "general", "q": [0.9, float("nan")]}},
+    {"noise": {"kind": "general", "q": [0.9, None]}},
+    {"noise": {"kind": "general", "q": "0.9"}},
+    {"noise": {"kind": "layered", "parts": [{"kind": "general", "q": ["0.9", "0.1"]}]}},
+    {"noise": {"kind": "asymmetric", "matrices": [[["0.95", "0.1"], ["0.05", "0.9"]]]}},
+    {"noise": {"kind": "asymmetric", "matrices": [[[True, False], [False, True]]]}},
+    {"noise": {"kind": "asymmetric", "matrices": [[[0.95, False], [0.05, True]]]}},
+    {"noise": {"kind": "asymmetric", "matrices": [[[0.95, 0.1], [0.05]]]}},
+    {"noise": {"kind": "asymmetric", "matrices": [[[0.95, 10 ** 400], [0.05, 0.9]]]}},
+    {"noise": {"kind": "asymmetric", "matrices": [[[0.95, float("inf")], [0.05, 0.9]]]}},
+    {"noise": {"kind": "asymmetric", "matrices": [["0.95", "0.05"]]}},
 ])
 def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
-    """Circuit-file integers, angles, noise rates and the bfa switch of the
-    wrong type, with a fractional part, or not finite end in an error line,
-    not a coerced run or a traceback."""
+    """Circuit-file integers, angles, noise rates, noise tables and the bfa
+    switch of the wrong type, with a fractional part, or not finite end in an
+    error line, not a coerced run or a traceback."""
     if "phi_x" in case or "phi_z" in case:
         cfg = {"experiment": "teleport", "parameters": {"k": 1, **case}, "shots": 10}
     elif "rate" in case:
         cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10,
                "noise": {"kind": "uniform", "m": 1, **case}}
+    elif "noise" in case:
+        cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10, **case}
     elif "bfa" in case:
         # a string is not a switch: "false" used to turn bit-flip averaging on
         cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10,

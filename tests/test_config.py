@@ -87,6 +87,17 @@ class TestNoiseSpecs:
         assert inj.matrices is not None
         assert inj.bfa is True
 
+    def test_tables_take_integers_and_floats(self):
+        # 0 and 1 entries are checked for bools one by one; ints are numbers
+        inj = config.build_noise({"kind": "asymmetric",
+                                  "matrices": [[[1, 0.25, 0, 0], [0, 0.75, 0, 0],
+                                                [0, 0, 0.5, 1], [0, 0, 0.5, 0.0]]]})
+        want = np.array([[1, 0.25, 0, 0], [0, 0.75, 0, 0], [0, 0, 0.5, 1], [0, 0, 0.5, 0]])
+        assert inj.matrices[0].matrix.dtype == np.float64
+        assert inj.matrices[0].matrix.tobytes() == want.tobytes()
+        q = config.build_noise({"kind": "general", "q": [1, 0]}).model.q
+        assert q.dtype == np.float64 and q.tolist() == [1.0, 0.0]
+
     def test_none_passthrough(self):
         assert config.build_noise(None) is None
 

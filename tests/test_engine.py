@@ -67,8 +67,10 @@ def test_measure_collapses_and_normalizes():
     states = engine.zero_states(512, 1, dtype=np.complex128)
     states = engine.apply_gates(states, [h(0)], 1)
     rng = np.random.default_rng(3)
-    states, outcomes = engine.measure(states, (0,), 1, rng)
+    states, outcomes, branch = engine.measure(states, (0,), 1, rng, rows=np.arange(512))
     assert set(np.unique(outcomes)) <= {0, 1}
+    # one shot per row, so each keeps its own row
+    assert np.array_equal(branch, np.arange(512))
     # collapsed states are basis states with unit norm
     norms = (np.abs(states) ** 2).sum(axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -83,7 +85,7 @@ def test_measure_statistics_biased_state():
     states = np.tile(np.array([np.sqrt(0.9), np.sqrt(0.1)], dtype=np.complex128),
                      (20_000, 1))
     rng = np.random.default_rng(4)
-    _, outcomes = engine.measure(states, (0,), 1, rng)
+    _, outcomes, _ = engine.measure(states, (0,), 1, rng, rows=np.arange(20_000))
     assert outcomes.mean() == pytest.approx(0.1, abs=0.01)
 
 
@@ -91,7 +93,8 @@ def test_measure_subset_ordering():
     # prepare |q0 q1 q2> = |0 1 0>, measure (2, 1): bits should read (0, 1)
     states = engine.zero_states(1, 3, dtype=np.complex128)
     states = engine.apply_gates(states, [x(1)], 3)
-    _, outcomes = engine.measure(states, (2, 1), 3, np.random.default_rng(0))
+    _, outcomes, _ = engine.measure(states, (2, 1), 3, np.random.default_rng(0),
+                                    rows=np.arange(1))
     assert outcomes[0] == 0b01
 
 
@@ -114,8 +117,9 @@ def test_apply_x_masks_matches_gates():
 def test_measurement_determinism():
     states = engine.apply_gates(engine.zero_states(64, 2, dtype=np.complex128),
                                 [h(0), h(1)], 2)
-    _, o1 = engine.measure(states.copy(), (0, 1), 2, np.random.default_rng(9))
-    _, o2 = engine.measure(states.copy(), (0, 1), 2, np.random.default_rng(9))
+    rows = np.arange(64)
+    _, o1, _ = engine.measure(states.copy(), (0, 1), 2, np.random.default_rng(9), rows=rows)
+    _, o2, _ = engine.measure(states.copy(), (0, 1), 2, np.random.default_rng(9), rows=rows)
     assert np.array_equal(o1, o2)
 
 
@@ -143,7 +147,8 @@ def test_measure_rounding_gap_takes_last_possible_outcome():
     state = np.array([[0.8641355854905248, 0.1824995720531056, 0.46900276767774135, 0.0]])
     probs = np.square(state) / np.square(state).sum()
     assert np.cumsum(probs)[-1] < np.nextafter(1.0, 0.0)
-    collapsed, outcomes = engine.measure(state.copy(), (0, 1), 2, _TopRng())
+    collapsed, outcomes, _ = engine.measure(state.copy(), (0, 1), 2, _TopRng(),
+                                            rows=np.arange(1))
     assert outcomes[0] == 2
     assert np.allclose(collapsed, [[0.0, 0.0, 1.0, 0.0]], rtol=0, atol=1e-12)
 
@@ -196,7 +201,8 @@ def test_measure_descent_matches_count(k, rows, shots):
     want = measure_by_count(states.copy(), qubits, k, _FixedRng(u), rows=shot_rows)
     for mine, theirs in zip(got, want):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-    _, outcomes = engine.measure(states[shot_rows], qubits, k, _FixedRng(u))
+    _, outcomes, _ = engine.measure(states[shot_rows], qubits, k, _FixedRng(u),
+                                    rows=np.arange(shots))
     assert np.array_equal(outcomes, want[1])
 
 

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from promkit.mitigation import EstimatorAccumulator, solve_weights
 from promkit.readout import (ConfusionMatrix, GeneralModel, TensoredModel, UniformModel,
                              calibrate)
 from promkit.simulator import (NoiseInjector, batch_size_for, estimate_observables,
-                               run_shot, run_shots)
+                               run_settings, run_shot, run_shots)
 
 
 def reset_circuit():
@@ -276,3 +278,76 @@ def test_multi_layer_mask_split():
     # layer 0: clean reading, mask 0 -> reset works; layer 1: syndrome 1
     # cancelled by mask bit -> reset works as well
     assert estimate_observables(res)[0].estimate == 1.0
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+def two_setting_run():
+    """A noisy, mitigated reset with a Z and an X-basis setting, and jobs of
+    unequal shot counts that are not multiples of the batch size."""
+    c = reset_circuit()
+    turned = TerminalSetting(name="x", measured=(0,), basis_gates=(h(0),),
+                             observables=(("zeros", ZeroProjector((0,))),))
+    c = DynamicCircuit(n=1, prep=c.prep, layers=c.layers, settings=(c.settings[0], turned))
+    model = TensoredModel([0.1])
+    batch = batch_size_for(c.n)
+    jobs = [(c.settings[0], 2 * batch + 17, 3), (turned, batch + 5000, 4)]
+    kw = dict(noise=NoiseInjector(model=model), weights=solve_weights(model), seed=12)
+    return c, jobs, kw
+
+
+def result_bytes(result) -> tuple:
+    """Every count of a result as bytes, with its dtype."""
+    arrays = [result.signed_counts, *result.layer_reported_counts, *result.layer_flip_counts]
+    return (result.setting, result.shots, result.accepted, result.discarded, result.xi,
+            [(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 9])
+def test_worker_processes_give_the_serial_records(workers):
+    # 3 + 2 batches: workers=9 asks for more processes than there are batches
+    c, jobs, kw = two_setting_run()
+    one = run_settings(c, jobs, workers=1, **kw)
+    many = run_settings(c, jobs, workers=workers, **kw)
+    assert [r.setting for r in many] == [setting for setting, _, _ in jobs]
+    assert list(map(result_bytes, many)) == list(map(result_bytes, one))
+    assert result_bytes(one[1]) == result_bytes(run_shots(c, jobs[1][0], jobs[1][1],
+                                                          trial=jobs[1][2], **kw))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_batch_error_reraises_and_leaves_no_process(monkeypatch, where):
+    c, jobs, kw = two_setting_run()
+    parent, real = os.getpid(), simulator._run_batch
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise OverflowError(f"batch in the {where}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_run_batch", failing)
+    with pytest.raises(OverflowError, match=where):
+        run_settings(c, jobs, workers=2, **kw)
+    assert multiprocessing.active_children() == []
+
+
+def test_without_fork_workers_run_in_process(monkeypatch):
+    c, jobs, kw = two_setting_run()
+    one = run_settings(c, jobs, workers=1, **kw)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process pool without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+    assert (list(map(result_bytes, run_settings(c, jobs, workers=2, **kw)))
+            == list(map(result_bytes, one)))
+
+
+def test_run_settings_checks_every_job_first():
+    c, jobs, kw = two_setting_run()
+    with pytest.raises(ValueError, match="shots"):
+        run_settings(c, [jobs[0], (jobs[1][0], 0, 5)], workers=2, **kw)
+    assert multiprocessing.active_children() == []
