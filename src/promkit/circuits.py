@@ -270,30 +270,6 @@ class ZeroProjector(Observable):
         return out
 
 
-class DenseObservable(Observable):
-    """Explicit Hermitian matrix on a small qubit subset (exact-oracle use)."""
-
-    def __init__(self, matrix, qubits: tuple[int, ...], name: str = "dense"):
-        m = np.asarray(matrix, dtype=np.complex128)
-        k = len(qubits)
-        if m.shape != (1 << k, 1 << k):
-            raise ValueError("matrix shape must match qubit count")
-        if not np.allclose(m, m.conj().T, atol=1e-10):
-            raise ValueError("observable must be Hermitian")
-        self.matrix = m
-        self.qubits = tuple(qubits)
-        self.support = self.qubits
-        self.name = name
-
-    def norm2(self) -> float:
-        return float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
-
-    def apply(self, state, n):
-        from . import engine
-        return engine.apply_kq_matrix(np.array(state, copy=True)[None, :],
-                                      self.matrix, self.qubits, n)[0]
-
-
 @dataclass
 class TerminalSetting:
     """One terminal measurement context: basis-change gates, measured qubits,

@@ -12,7 +12,7 @@ Exit codes: 0 ok, 1 usage or schema error, 2 singular channel, 3 size cap.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 import numpy as np
@@ -43,16 +43,16 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--shots", type=int, default=None, help="override config shots")
     sub.add_argument("--trials", type=int, default=None, help="override config trials")
     sub.add_argument("--workers", type=positive_int, default=1,
-                     help="shot-batch worker threads (at least 1)")
+                     help="shot-batch worker processes (at least 1)")
 
 
-def _load(args: argparse.Namespace) -> dict:
-    cfg = configmod.load_config(args.config)
-    for key in ("seed", "shots", "trials", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
-    return configmod.validate_config(cfg)
+def _load(args: argparse.Namespace) -> configmod.RunPlan:
+    """The config file with the flags applied, checked and built once."""
+    raw = configmod.read_json(args.config, "config")
+    if isinstance(raw, dict):
+        raw.update({key: getattr(args, key) for key in ("seed", "shots", "trials", "out")
+                    if getattr(args, key) is not None})
+    return configmod.plan_config(raw)
 
 
 def _emit(payload: dict, out: str | None, rows: list[dict] | None = None) -> None:
@@ -68,23 +68,20 @@ def _emit(payload: dict, out: str | None, rows: list[dict] | None = None) -> Non
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    payload = configmod.run_config(cfg, workers=args.workers)
-    _emit(payload, cfg["out"], configmod.record_rows(payload["record"]))
+    plan = _load(args)
+    payload = configmod.run_plan(plan, workers=args.workers)
+    _emit(payload, plan.cfg["out"], configmod.record_rows(payload["record"]))
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    circuit = configmod.build_circuit(cfg["experiment"], cfg["parameters"])
-    noise = configmod.build_noise(cfg["noise"])
-    if noise is not None and noise.model is None and noise.matrices is None:
-        raise configmod.ConfigError("oracle needs model-style noise (or none)")
-    if noise is None or noise.model is None:
+    plan = _load(args)
+    cfg, circuit = plan.cfg, plan.circuit
+    if plan.noise is None:
         q = np.zeros(1 << circuit.m)
         q[0] = 1.0
     else:
-        q = noise.model.expand()
+        q = configmod.symmetrized_model(plan.noise).expand()
     alpha = GeneralWeights(q).alpha()
 
     settings_out = []
@@ -108,7 +105,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _noise_spec_of(raw: dict) -> dict:
-    return raw["noise"] if "noise" in raw and "kind" not in raw else raw
+    return raw["noise"] if isinstance(raw, dict) and "noise" in raw and "kind" not in raw else raw
 
 
 def _part_entries(weights) -> list[dict]:
@@ -122,11 +119,7 @@ def _part_entries(weights) -> list[dict]:
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise configmod.ConfigError(f"cannot read {args.config}: {exc}") from exc
+    raw = configmod.read_json(args.config, "noise spec")
     noise = configmod.build_noise(_noise_spec_of(raw))
     if noise is None:
         raise configmod.ConfigError("weights needs a noise spec with a model")
@@ -141,14 +134,13 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    noise = configmod.build_noise(cfg["noise"])
+    plan = _load(args)
+    cfg, noise, m = plan.cfg, plan.noise, plan.circuit.m
     if noise is None:
         raise configmod.ConfigError("calibrate needs a noise spec")
-    if noise.model is not None:
-        m = noise.model.m
-    else:
-        m = sum(mat.m_bits for mat in noise.matrices)
+    if m == 0:
+        raise configmod.ConfigError(f"calibrate needs mid-circuit measurements; "
+                                    f"'{cfg['experiment']}' has none")
     q_hat = experiments.run_calibration(m, cfg["shots"], noise=noise,
                                         seed=cfg["seed"], workers=args.workers)
     payload = {"m": m, "shots": cfg["shots"], "q_hat": q_hat.tolist(),
@@ -173,13 +165,14 @@ _BENCH_MODES = (
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    plan = _load(args)
+    cfg = plan.cfg
     if cfg["noise"] is None:
         raise configmod.ConfigError("bench needs a noise spec to compare against")
     modes_out, rows = [], []
     for label, mitigation in _BENCH_MODES:
-        sub = dict(cfg, mitigation=mitigation, out=None)
-        payload = configmod.run_config(sub, workers=args.workers)
+        sub = dataclasses.replace(plan, cfg=dict(cfg, mitigation=mitigation, out=None))
+        payload = configmod.run_plan(sub, workers=args.workers)
         record = payload["record"]
         for row in configmod.record_rows(record):
             rows.append(dict(row, observable=f"{label}:{row['observable']}"))

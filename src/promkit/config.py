@@ -12,12 +12,15 @@ import csv
 import json
 import math
 import numbers
+import os
 import time
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import experiments
+from .bits import check_size
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                        TerminalSetting, ZeroProjector, cx, h, rx, ry, rz, s,
                        sdg, x, y, z)
@@ -40,16 +43,34 @@ _DEFAULTS = {"parameters": {}, "noise": None, "mitigation": "none",
              "out": None}
 
 
-def load_config(path: str) -> dict:
+def read_json(path, what: str):
+    """The JSON document at ``path``; ``what`` names it in the error."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{what} path must be a string, got {path!r}")
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return validate_config(raw)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def validate_config(raw: dict) -> dict:
+def load_config(path: str) -> dict:
+    return validate_config(read_json(path, "config"))
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """A checked config with the circuit (before mitigation) and the noise
+    it runs: what ``plan_config`` builds once for every command."""
+
+    cfg: dict
+    circuit: DynamicCircuit
+    noise: NoiseInjector | None
+
+
+def plan_config(raw: dict) -> RunPlan:
+    """Check ``raw`` and build its circuit and noise; every config check
+    lives here, so errors surface before any shots run."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -72,8 +93,6 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("'terminal_rem' must be true or false")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("'out' must be a path string")
-    # normalized below by build_* functions; validate eagerly so errors
-    # surface before any shots run
     circuit = build_circuit(cfg["experiment"], cfg["parameters"])
     noise = build_noise(cfg["noise"])
     if noise is not None:
@@ -83,7 +102,18 @@ def validate_config(raw: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"noise does not fit '{cfg['experiment']}': {exc}") from exc
     _validate_mitigation(cfg["mitigation"])
-    return cfg
+    if not circuit.settings:
+        raise ConfigError(f"experiment '{cfg['experiment']}' defines no "
+                          "terminal settings to estimate")
+    # run_plan holds one job and one result per (trial, setting)
+    check_size((cfg["trials"] * len(circuit.settings) - 1).bit_length(), "trials x settings")
+    if cfg["terminal_rem"] and (noise is None or noise.terminal is None):
+        raise ConfigError("terminal_rem needs noise with a 'terminal' channel")
+    return RunPlan(cfg, circuit, noise)
+
+
+def validate_config(raw: dict) -> dict:
+    return plan_config(raw).cfg
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +266,7 @@ def _parse_observable(spec: dict):
 def load_circuit_file(path: str) -> DynamicCircuit:
     """Custom circuit description: gates as [name, args...], feedforward
     tables as lists of gate lists, settings with Pauli/projector observables."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read circuit file {path}: {exc}") from exc
+    raw = read_json(path, "circuit file")
     if not isinstance(raw, dict) or "n" not in raw:
         raise ConfigError("circuit file needs a qubit count 'n'")
     try:
@@ -273,6 +299,8 @@ def load_circuit_file(path: str) -> DynamicCircuit:
 # noise
 
 def _build_model(spec: dict) -> SyndromeModel:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"noise model must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "uniform":
         return UniformModel(_integer(spec["m"], "uniform noise 'm'"),
@@ -386,21 +414,19 @@ def _setting_trial_stream(trial: int, index: int, n_settings: int) -> int:
 
 
 def run_config(cfg: dict, workers: int = 1) -> dict:
-    """Execute trials x settings x shots and assemble the result record."""
+    """Check and build ``cfg``, then run it: ``run_plan(plan_config(cfg))``."""
+    return run_plan(plan_config(cfg), workers)
+
+
+def run_plan(plan: RunPlan, workers: int = 1) -> dict:
+    """Solve the plan's weights, execute trials x settings x shots and
+    assemble the result record."""
     from . import __version__
 
     started = time.perf_counter()
-    circuit = build_circuit(cfg["experiment"], cfg["parameters"])
-    noise = build_noise(cfg["noise"])
-    circuit, weights = build_mitigation(cfg["mitigation"], circuit, noise)
-    if not circuit.settings:
-        raise ConfigError(f"experiment '{cfg['experiment']}' defines no "
-                          "terminal settings to estimate")
-    terminal_q = None
-    if cfg["terminal_rem"]:
-        if noise is None or noise.terminal is None:
-            raise ConfigError("terminal_rem needs noise with a 'terminal' channel")
-        terminal_q = noise.terminal.expand()
+    cfg, noise = plan.cfg, plan.noise
+    circuit, weights = build_mitigation(cfg["mitigation"], plan.circuit, noise)
+    terminal_q = noise.terminal.expand() if cfg["terminal_rem"] else None
 
     settings = circuit.settings
     runs = run_settings(circuit, [(setting, cfg["shots"],

@@ -155,9 +155,7 @@ class ObservableEstimate:
     single_shot_variance: float
 
 
-def _pick_dtype(circuit: DynamicCircuit, setting: TerminalSetting, dtype):
-    if dtype is not None:
-        return dtype
+def _pick_dtype(circuit: DynamicCircuit, setting: TerminalSetting):
     real = circuit.is_real() and all(g.is_real for g in setting.basis_gates)
     return np.float32 if real else np.complex64
 
@@ -409,7 +407,7 @@ def _run_forked(run: _Run, tasks, children: int, add) -> None:
 def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
                  noise: NoiseInjector | None = None,
                  weights: MitigationWeights | None = None,
-                 seed: int = 0, workers: int = 1, dtype=None) -> list[RunResult]:
+                 seed: int = 0, workers: int = 1) -> list[RunResult]:
     """Run every ``(setting, shots, trial)`` job; one aggregated result per job.
 
     With ``workers`` > 1, up to ``workers`` - 1 forked processes share the
@@ -425,7 +423,7 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
     if weights is not None and weights.m != circuit.m:
         raise ValueError(f"weights cover {weights.m} bits, circuit measures {circuit.m}")
     run = _Run(circuit, jobs, noise, weights, seed,
-               tuple(_pick_dtype(circuit, setting, dtype) for setting, _, _ in jobs),
+               tuple(_pick_dtype(circuit, setting) for setting, _, _ in jobs),
                _entry_keys(circuit))
 
     batch = batch_size_for(circuit.n)
@@ -449,23 +447,21 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
 def run_shots(circuit: DynamicCircuit, setting: TerminalSetting, shots: int, *,
               noise: NoiseInjector | None = None,
               weights: MitigationWeights | None = None,
-              seed: int = 0, trial: int = 0, workers: int = 1,
-              dtype=None) -> RunResult:
+              seed: int = 0, trial: int = 0, workers: int = 1) -> RunResult:
     """Run ``shots`` shots of one terminal setting and aggregate the counts:
     ``run_settings`` with one job."""
     return run_settings(circuit, [(setting, shots, trial)], noise=noise, weights=weights,
-                        seed=seed, workers=workers, dtype=dtype)[0]
+                        seed=seed, workers=workers)[0]
 
 
 def run_shot(circuit: DynamicCircuit, setting: TerminalSetting,
              rng: np.random.Generator, *, noise: NoiseInjector | None = None,
-             weights: MitigationWeights | None = None, dtype=None) -> ShotRecord:
+             weights: MitigationWeights | None = None) -> ShotRecord:
     """Single-shot path returning the full classical record."""
     if noise is not None:
         noise.validate_for(circuit, setting)
-    dtype = _pick_dtype(circuit, setting, dtype)
-    _, records = _run_batch(circuit, setting, 1, noise, weights, rng, dtype,
-                            _entry_keys(circuit), collect=True)
+    _, records = _run_batch(circuit, setting, 1, noise, weights, rng,
+                            _pick_dtype(circuit, setting), _entry_keys(circuit), collect=True)
     return records[0]
 
 

@@ -377,10 +377,10 @@ def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
 
 def per_shot_run(circuit, setting, shots, *, noise=None, weights=None, seed=0,
-                 trial=0, dtype=None):
+                 trial=0):
     """``run_shots`` over the per-shot batch routine: same batches, same
     streams, merged in batch order."""
-    dtype = _pick_dtype(circuit, setting, dtype)
+    dtype = _pick_dtype(circuit, setting)
     batch = batch_size_for(circuit.n)
     sizes = [batch] * (shots // batch)
     if shots % batch:

@@ -139,7 +139,7 @@ def test_branching_matches_per_shot(run, shots, seed):
     want = per_shot_run(circuit, setting, shots, noise=noise, weights=weights, seed=seed)
     assert_results_equal(got, want)
 
-    dtype = simulator._pick_dtype(circuit, setting, None)
+    dtype = simulator._pick_dtype(circuit, setting)
     keys = simulator._entry_keys(circuit)
     got_result, got_records = simulator._run_batch(
         circuit, setting, shots, noise, weights, stream(seed, 1), dtype, keys, collect=True)

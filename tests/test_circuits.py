@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from promkit import circuits
-from promkit.circuits import (DenseObservable, DynamicCircuit, FeedforwardLayer,
-                              PauliString, TerminalSetting, ZeroProjector, cx,
-                              h, rx, ry, rz, s, sdg, x, xor_feedback_table, y, z)
+from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
+                              TerminalSetting, ZeroProjector, cx, h, rx, ry, rz,
+                              s, sdg, x, xor_feedback_table, y, z)
 
 
 @pytest.mark.parametrize("gate", [h(0), x(0), y(0), z(0), s(0), sdg(0),
@@ -114,14 +113,6 @@ def test_zero_projector_values():
 def test_zero_projector_requires_measured_support():
     with pytest.raises(ValueError):
         ZeroProjector((3,)).values_on_outcomes((0, 1))
-
-
-def test_dense_observable():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    ob = DenseObservable(m, (0,))
-    assert ob.norm2() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        DenseObservable(np.array([[0.0, 1.0], [0.0, 0.0]]), (0,))  # not Hermitian
 
 
 def test_terminal_setting_value_table():

@@ -5,6 +5,7 @@ import pytest
 
 from promkit import cli, config
 from promkit.mitigation import GeneralWeights
+from promkit.readout import ConfusionMatrix
 
 
 def write(tmp_path, name, payload):
@@ -48,6 +49,35 @@ def test_flag_overrides(tmp_path, capsys):
     assert record["config"]["trials"] == 2
     assert record["config"]["seed"] == 9
     assert len(record["trials"]) == 2
+
+
+def test_flags_checked_with_the_file(tmp_path, capsys):
+    """Flags replace file values before the one check of the config, so a
+    bad file value that a valid flag replaces is never read."""
+    cfg = reset_config(tmp_path, shots=0)
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert cli.main(["run", "--config", cfg, "--shots", "0"]) == 1
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg, "--shots", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["record"]["config"]["shots"] == 100
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("run", {}),
+    ("oracle", {}),
+    ("bench", {}),
+    ("calibrate", {"experiment": "calibration", "parameters": {"m": 1}}),
+])
+def test_each_command_builds_the_config_once(tmp_path, capsys, monkeypatch, command, cfg):
+    calls = {"build_circuit": 0, "build_noise": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(config, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(config, name, spy)
+    path = reset_config(tmp_path, shots=200, **cfg)
+    assert cli.main([command, "--config", path]) == 0
+    assert calls == {"build_circuit": 1, "build_noise": 1}
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -101,6 +131,27 @@ def test_oracle_noiseless_masks(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     entry = payload["settings"][0]["observables"][0]
     assert entry["per_mask"][0] == pytest.approx(entry["ideal"], abs=1e-12)
+
+
+def test_oracle_models_asymmetric_noise(tmp_path, capsys):
+    """Under bit-flip averaging the oracle's channel is the symmetrized
+    confusion matrix, the one that prom weights invert."""
+    matrix = [[0.95, 0.02, 0.06, 0.001],
+              [0.03, 0.93, 0.002, 0.05],
+              [0.015, 0.001, 0.91, 0.04],
+              [0.005, 0.049, 0.028, 0.909]]
+    cfg = {"experiment": "reset", "parameters": {"n": 2},
+           "noise": {"kind": "asymmetric", "matrices": [matrix], "bfa": True}}
+    assert cli.main(["oracle", "--config", write(tmp_path, "cfg.json", cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    q = ConfusionMatrix(np.array(matrix)).symmetrize()
+    assert np.allclose(payload["q"], q, rtol=0, atol=1e-12)
+    entry = payload["settings"][0]["observables"][0]
+    assert entry["mitigated"] == pytest.approx(entry["ideal"], abs=1e-9)
+    assert entry["per_mask"][0] != pytest.approx(entry["ideal"], abs=1e-3)
+    cfg["noise"]["bfa"] = False
+    assert cli.main(["oracle", "--config", write(tmp_path, "cfg.json", cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_weights_subcommand(tmp_path, capsys):
@@ -181,6 +232,12 @@ def test_weights_takes_only_config_and_out(tmp_path, capsys):
     assert json.loads((tmp_path / "w.json").read_text())["xi"] == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("spec", [5, "uniform", [0.9, 0.1], {"noise": 5}])
+def test_weights_spec_not_an_object_exits_1(tmp_path, capsys, spec):
+    assert cli.main(["weights", "--config", write(tmp_path, "noise.json", spec)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_weights_layered_spec(tmp_path, capsys):
     spec = {"kind": "layered", "parts": [
         {"kind": "uniform", "m": 2, "rate": 0.05},
@@ -224,6 +281,16 @@ def test_size_cap_statevector_exits_3(tmp_path, capsys, monkeypatch):
     cfg = reset_config(tmp_path, shots=10)
     assert cli.main(["run", "--config", cfg]) == 3
     assert "statevector needs 2**3" in capsys.readouterr().err
+
+
+def test_size_cap_trials_times_settings_exits_3(tmp_path, capsys, monkeypatch):
+    # a run holds one job and one result per (trial, setting): reset has one
+    monkeypatch.setenv("PROMKIT_SIZE_CAP", "3")
+    cfg = reset_config(tmp_path, shots=10, trials=9)
+    assert cli.main(["run", "--config", cfg]) == 3
+    assert "trials x settings needs 2**4" in capsys.readouterr().err
+    cfg = reset_config(tmp_path, shots=10, trials=8)
+    assert cli.main(["run", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize("experiment, parameters, message", [
@@ -326,16 +393,31 @@ ONE_QUBIT = {"n": 1, "prep": [["h", 0]],
     {"noise": {"kind": "asymmetric", "matrices": [[[0.95, 10 ** 400], [0.05, 0.9]]]}},
     {"noise": {"kind": "asymmetric", "matrices": [[[0.95, float("inf")], [0.05, 0.9]]]}},
     {"noise": {"kind": "asymmetric", "matrices": [["0.95", "0.05"]]}},
+    # specs that are not objects, and paths that are not strings (open()
+    # reads an int or a bool as a file descriptor)
+    {"noise": {"kind": "layered", "parts": [5]}},
+    {"noise": {"kind": "uniform", "m": 1, "rate": 0.1, "terminal": "x"}},
+    {"path": True},
+    {"path": 0},
+    # calibration needs mid-circuit bits to calibrate
+    {"command": "calibrate", "experiment": "transport", "parameters": {"k": 1},
+     "noise": {"kind": "asymmetric", "matrices": []}},
 ])
 def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
     """Circuit-file integers, angles, noise rates, noise tables and the bfa
     switch of the wrong type, with a fractional part, or not finite end in an
-    error line, not a coerced run or a traceback."""
+    error line, not a coerced run or a traceback.  So do noise specs that are
+    not objects, circuit paths that are not strings, and calibrate on a
+    circuit with no mid-circuit bits."""
+    case = dict(case)
+    command = case.pop("command", "run")
     if "phi_x" in case or "phi_z" in case:
         cfg = {"experiment": "teleport", "parameters": {"k": 1, **case}, "shots": 10}
     elif "rate" in case:
         cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10,
                "noise": {"kind": "uniform", "m": 1, **case}}
+    elif "path" in case:
+        cfg = {"experiment": "custom", "parameters": case, "shots": 10}
     elif "noise" in case:
         cfg = {"experiment": "reset", "parameters": {"n": 1}, "shots": 10, **case}
     elif "bfa" in case:
@@ -345,5 +427,8 @@ def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
     else:
         cfg = custom_config(tmp_path, {**ONE_QUBIT, **case})
     path = write(tmp_path, "cfg.json", cfg)
-    assert cli.main(["run", "--config", path]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if "path" in case:  # refused before open(), not failed in it
+        assert "path must be a string" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -240,9 +241,17 @@ class TestRunConfig:
         assert ea != eb
 
     def test_terminal_rem_needs_channel(self):
-        cfg = config.validate_config(minimal(terminal_rem=True, shots=10))
         with pytest.raises(config.ConfigError, match="terminal"):
-            config.run_config(cfg)
+            config.validate_config(minimal(terminal_rem=True, shots=10))
+
+    def test_plan_holds_the_circuit_before_mitigation(self):
+        rep = {"mode": "rep", "repeat": 3, "consensus": "majority"}
+        plan = config.plan_config(minimal(mitigation=rep, shots=300,
+                                          noise={"kind": "uniform", "m": 1, "rate": 0.1}))
+        assert [layer.repeat for layer in plan.circuit.layers] == [1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.circuit = None
+        assert config.run_plan(plan)["record"] == config.run_config(plan.cfg)["record"]
 
     def test_ghz_derives_fidelity(self):
         cfg = config.validate_config({

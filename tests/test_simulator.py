@@ -135,10 +135,9 @@ def test_batch_size_for():
 
 def test_dtype_selection():
     c = reset_circuit()
-    assert simulator._pick_dtype(c, c.settings[0], None) == np.float32
+    assert simulator._pick_dtype(c, c.settings[0]) == np.float32
     comp = DynamicCircuit(n=1, prep=(s(0),), layers=c.layers, settings=c.settings)
-    assert simulator._pick_dtype(comp, c.settings[0], None) == np.complex64
-    assert simulator._pick_dtype(c, c.settings[0], np.float64) == np.float64
+    assert simulator._pick_dtype(comp, c.settings[0]) == np.complex64
 
 
 def test_worker_invariance():
