@@ -35,8 +35,15 @@ class Gate:
     matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in {self.name} on {self.qubits}")
+        # the engine applies CX by name and every other gate as a 2x2 matrix
+        if self.name == "cx":
+            if len(self.qubits) != 2 or self.matrix is not None:
+                raise ValueError(f"cx takes two qubits and no matrix, got {self.qubits}")
+            if self.qubits[0] == self.qubits[1]:
+                raise ValueError(f"repeated qubit in cx on {self.qubits}")
+        elif len(self.qubits) != 1 or self.matrix is None or self.matrix.shape != (2, 2):
+            raise ValueError(f"gate {self.name} must be one qubit with a 2x2 matrix "
+                             f"(CX is the only multi-qubit gate), got {self.qubits}")
 
     @property
     def is_real(self) -> bool:
@@ -161,6 +168,10 @@ class Observable:
     def apply(self, state: np.ndarray, n: int) -> np.ndarray:
         """O|psi> on a flat statevector (exact-oracle path; no basis change)."""
         raise NotImplementedError
+
+    def expectation(self, state: np.ndarray, n: int) -> float:
+        """<psi|O|psi> on a flat statevector (exact-oracle path)."""
+        return float(np.vdot(state, self.apply(state, n)).real)
 
 
 def _support_masks(measured: tuple[int, ...], support: tuple[int, ...]) -> np.ndarray:

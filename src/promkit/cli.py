@@ -84,18 +84,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         q = configmod.symmetrized_model(plan.noise).expand()
     alpha = GeneralWeights(q).alpha()
 
-    settings_out = []
+    # one walk of the circuit for the observables of every setting
+    tensor = oracle.exact_trajectory_tensor(
+        circuit, [ob for setting in circuit.settings
+                  for ob in oracle.exact_setting_observables(setting)])
+    settings_out, b = [], 0
     for setting in circuit.settings:
-        obs = oracle.exact_setting_observables(setting)
-        tensor = oracle.exact_trajectory_tensor(circuit, obs)
         entries = []
-        for b, (name, _) in enumerate(obs):
-            entries.append({
-                "observable": name,
-                "ideal": tensor.ideal(b),
-                "per_mask": [tensor.masked(b, f, q) for f in range(1 << circuit.m)],
-                "mitigated": tensor.mitigated(b, q, alpha),
-            })
+        for name, _ in setting.observables:
+            entries.append({"observable": name, "ideal": tensor.ideal(b),
+                            "per_mask": tensor.per_mask(b, q).tolist(),
+                            "mitigated": tensor.mitigated(b, q, alpha)})
+            b += 1
         settings_out.append({"setting": setting.name, "observables": entries})
     payload = {"experiment": cfg["experiment"], "parameters": cfg["parameters"],
                "mid_circuit_bits": circuit.m, "q": q.tolist(),
@@ -141,6 +141,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if m == 0:
         raise configmod.ConfigError(f"calibrate needs mid-circuit measurements; "
                                     f"'{cfg['experiment']}' has none")
+    if noise.matrices is not None and len(noise.matrices) != 1:
+        raise configmod.ConfigError(f"calibrate takes a single confusion matrix over all "
+                                    f"{m} mid-circuit bits, got {len(noise.matrices)}")
     q_hat = experiments.run_calibration(m, cfg["shots"], noise=noise,
                                         seed=cfg["seed"], workers=args.workers)
     payload = {"m": m, "shots": cfg["shots"], "q_hat": q_hat.tolist(),

@@ -54,6 +54,16 @@ def read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _known(obj, keys, what: str) -> dict:
+    """``obj``, a JSON object that holds no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return obj
+
+
 def load_config(path: str) -> dict:
     return validate_config(read_json(path, "config"))
 
@@ -71,11 +81,7 @@ class RunPlan:
 def plan_config(raw: dict) -> RunPlan:
     """Check ``raw`` and build its circuit and noise; every config check
     lives here, so errors surface before any shots run."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _known(raw, _TOP_KEYS, "config")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment'")
     cfg = dict(_DEFAULTS)
@@ -194,8 +200,15 @@ def _real_param(params: dict, key: str, default: float) -> float:
     return _real(_param(params, key, default), f"experiment parameter '{key}'")
 
 
+_PARAMETERS = {"reset": ("n",), "ghz": ("b", "p"), "ghz-unitary": ("n",),
+               "teleport": ("k", "phi_x", "phi_z"), "transport": ("k", "phi_x", "phi_z"),
+               "calibration": ("m",), "custom": ("path",)}
+
+
 def build_circuit(experiment: str, parameters: dict) -> DynamicCircuit:
     """Instantiate the named experiment; 'custom' loads a circuit file."""
+    if experiment in _PARAMETERS:
+        _known(parameters, _PARAMETERS[experiment], f"'{experiment}' parameter")
     try:
         if experiment == "reset":
             return experiments.build_reset_circuit(_int_param(parameters, "n", 1))
@@ -252,11 +265,13 @@ def _parse_observable(spec: dict):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"bad observable {spec!r}")
     if "pauli" in spec:
+        _known(spec, ("name", "pauli", "qubits", "sign"), "Pauli observable")
         qubits = spec.get("qubits")
         if qubits is not None:
             qubits = _integers(qubits, "observable 'qubits'")
         ob = PauliString(spec["pauli"], qubits, _integer(spec.get("sign", 1), "observable 'sign'"))
     elif "zeros" in spec:
+        _known(spec, ("name", "zeros"), "projector observable")
         ob = ZeroProjector(_integers(spec["zeros"], "observable 'zeros'"))
     else:
         raise ConfigError(f"observable {spec!r} needs 'pauli' or 'zeros'")
@@ -266,12 +281,14 @@ def _parse_observable(spec: dict):
 def load_circuit_file(path: str) -> DynamicCircuit:
     """Custom circuit description: gates as [name, args...], feedforward
     tables as lists of gate lists, settings with Pauli/projector observables."""
-    raw = read_json(path, "circuit file")
-    if not isinstance(raw, dict) or "n" not in raw:
+    raw = _known(read_json(path, "circuit file"), ("n", "prep", "layers", "settings"),
+                 "circuit file")
+    if "n" not in raw:
         raise ConfigError("circuit file needs a qubit count 'n'")
     try:
         layers = []
         for spec in raw.get("layers", []):
+            _known(spec, ("measured", "table", "pre", "post", "repeat", "consensus"), "layer")
             layers.append(FeedforwardLayer(
                 measured=_integers(spec["measured"], "layer 'measured'"),
                 table=tuple(_parse_gates(entry) for entry in spec["table"]),
@@ -281,6 +298,7 @@ def load_circuit_file(path: str) -> DynamicCircuit:
                 consensus=spec.get("consensus", "none")))
         settings = []
         for spec in raw.get("settings", []):
+            _known(spec, ("name", "measured", "observables", "basis"), "setting")
             settings.append(TerminalSetting(
                 name=str(spec["name"]),
                 measured=_integers(spec["measured"], "setting 'measured'"),
@@ -298,10 +316,16 @@ def load_circuit_file(path: str) -> DynamicCircuit:
 # ---------------------------------------------------------------------------
 # noise
 
+_MODEL_KEYS = {"uniform": ("m", "rate"), "tensored": ("rates",), "layered": ("parts",),
+               "general": ("q",)}
+
+
 def _build_model(spec: dict) -> SyndromeModel:
     if not isinstance(spec, dict):
         raise ConfigError(f"noise model must be an object, got {spec!r}")
     kind = spec.get("kind")
+    if kind in _MODEL_KEYS:
+        _known(spec, ("kind",) + _MODEL_KEYS[kind], f"{kind} noise")
     if kind == "uniform":
         return UniformModel(_integer(spec["m"], "uniform noise 'm'"),
                             _real(spec["rate"], "noise 'rate'"))
@@ -327,6 +351,7 @@ def build_noise(spec: dict | None) -> NoiseInjector | None:
     try:
         terminal = _build_model(terminal_spec) if terminal_spec is not None else None
         if spec["kind"] == "asymmetric":
+            _known(spec, ("kind", "matrices", "bfa"), "asymmetric noise")
             matrices = [ConfusionMatrix(_real_table(mat, "noise 'matrices'", 2))
                         for mat in spec["matrices"]]
             bfa = spec.get("bfa", True)
@@ -353,8 +378,9 @@ def _validate_mitigation(spec) -> dict:
         raise ConfigError("mitigation must be a mode string or object with 'mode'")
     mode = spec["mode"]
     if mode in ("none",) + _PROM_MODES:
-        return spec
+        return _known(spec, ("mode",), "mitigation")
     if mode == "rep":
+        _known(spec, ("mode", "repeat", "consensus"), "mitigation")
         repeat = spec.get("repeat")
         consensus = spec.get("consensus")
         if not isinstance(repeat, int) or repeat < 2:

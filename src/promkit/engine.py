@@ -78,31 +78,13 @@ def apply_gate(states: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         return apply_cx(states, gate.qubits[0], gate.qubits[1], n)
     if gate.name == "x":
         return apply_x(states, gate.qubits[0], n)
-    if len(gate.qubits) == 1:
-        return apply_1q(states, gate.matrix, gate.qubits[0], n)
-    return apply_kq_matrix(states, gate.matrix, gate.qubits, n)
+    return apply_1q(states, gate.matrix, gate.qubits[0], n)
 
 
 def apply_gates(states: np.ndarray, gates, n: int) -> np.ndarray:
     for g in gates:
         states = apply_gate(states, g, n)
     return states
-
-
-def apply_kq_matrix(states: np.ndarray, matrix: np.ndarray, qubits, n: int) -> np.ndarray:
-    """General k-qubit unitary/Hermitian application (exact paths only)."""
-    k = len(qubits)
-    u = _gate_dtype(np.asarray(matrix), states.dtype)
-    batch = states.shape[0]
-    t = states.reshape((batch,) + (2,) * n)
-    axes = [1 + q for q in qubits]
-    rest = [ax for ax in range(1, n + 1) if ax not in axes]
-    t = np.transpose(t, [0] + axes + rest)
-    flat = np.ascontiguousarray(t).reshape(batch, 1 << k, -1)
-    flat = np.einsum("ij,bjr->bir", u, flat)
-    t = flat.reshape((batch,) + (2,) * n)
-    inverse = np.argsort([0] + axes + rest)
-    return np.transpose(t, inverse).reshape(batch, 1 << n).copy()
 
 
 def simulate_gates(gates, n: int, state: np.ndarray | None = None,

@@ -8,11 +8,14 @@ exactly:
 
 * ideal (noiseless) expectation: trace over the diagonal s == v,
 * expectation under a syndrome channel q with a fixed mitigation mask f:
-  sum_{s,t} q[s ^ t] T[b, s, t ^ f],
+  sum_{s,t} q[s ^ t] T[b, s, t ^ f], which is the XOR convolution of q with
+  D[w] = sum_s T[b, s, s ^ w] at f, so one convolution gives every mask,
 * the mitigated estimator's mean: sum_f alpha[f] of the above, which the
   weights make equal to the ideal value (the identity the acceptance suite
   checks to 1e-9).
 
+One walk of the trajectory tree serves any number of observables, so the
+observables of every terminal setting of a circuit go into one call.
 Everything here is float64/complex128 and deliberately independent of the
 shot engine's sampling machinery.
 """
@@ -23,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .bits import SizeCapError
-from .circuits import DynamicCircuit, Gate, Observable
+from .bits import SizeCapError, binary_convolve
+from .circuits import DynamicCircuit, Observable
 from .mitigation import MitigationWeights
 
-DEFAULT_MAX_N = 12
-DEFAULT_MAX_M = 6
+MAX_N = 12
+MAX_M = 6
 
 
 @dataclass
@@ -43,23 +46,26 @@ class TrajectoryTensor:
         """Noiseless expectation: every lookup equals the true outcome."""
         return float(np.trace(self.tensor[b]))
 
-    def masked(self, b: int, f: int, q) -> float:
-        """Expectation under syndrome channel q with fixed mask f."""
+    def per_mask(self, b: int, q) -> np.ndarray:
+        """Expectation under syndrome channel q for every fixed mask f."""
         q = np.asarray(q, dtype=np.float64)
         k = self.tensor.shape[1]
         if q.size != k:
             raise ValueError("q length must be 2**m")
         idx = np.arange(k)
-        qmat = q[idx[:, None] ^ idx[None, :]]
-        return float((qmat * self.tensor[b][:, idx ^ f]).sum())
+        diagonals = self.tensor[b][idx[:, None], idx[:, None] ^ idx].sum(axis=0)
+        return binary_convolve(diagonals, q)
+
+    def masked(self, b: int, f: int, q) -> float:
+        """Expectation under syndrome channel q with fixed mask f."""
+        return float(self.per_mask(b, q)[f])
 
     def mitigated(self, b: int, q, weights) -> float:
         """Mean of the mask-sampled estimator: sum_f alpha[f] * masked(b, f, q)."""
         alpha = weights.alpha() if isinstance(weights, MitigationWeights) else np.asarray(weights)
-        k = self.tensor.shape[1]
-        if alpha.size != k:
+        if alpha.size != self.tensor.shape[1]:
             raise ValueError("alpha length must be 2**m")
-        return float(sum(alpha[f] * self.masked(b, f, q) for f in range(k)))
+        return float(alpha @ self.per_mask(b, q))
 
 
 def _project(state: np.ndarray, qubits, outcome: int, n: int) -> np.ndarray:
@@ -76,20 +82,19 @@ def _project(state: np.ndarray, qubits, outcome: int, n: int) -> np.ndarray:
     return out
 
 
-def exact_trajectory_tensor(circuit: DynamicCircuit, observables,
-                            max_n: int = DEFAULT_MAX_N,
-                            max_m: int = DEFAULT_MAX_M) -> TrajectoryTensor:
+def exact_trajectory_tensor(circuit: DynamicCircuit, observables) -> TrajectoryTensor:
     """Enumerate all trajectories of ``circuit`` against ``observables``.
 
     ``observables`` is a list of (name, Observable); evaluation is exact and
-    exhaustive (4**m leaf branches), so the circuit must fit the caps.
+    exhaustive (4**m leaf branches), so the circuit must fit ``MAX_N`` qubits
+    and ``MAX_M`` measured bits.
     """
     obs = list(observables)
     n, m = circuit.n, circuit.m
-    if n > max_n:
-        raise SizeCapError(f"oracle capped at {max_n} qubits, circuit has {n}")
-    if m > max_m:
-        raise SizeCapError(f"oracle capped at {max_m} measured bits, circuit has {m}")
+    if n > MAX_N:
+        raise SizeCapError(f"oracle capped at {MAX_N} qubits, circuit has {n}")
+    if m > MAX_M:
+        raise SizeCapError(f"oracle capped at {MAX_M} measured bits, circuit has {m}")
     for layer in circuit.layers:
         if layer.repeat != 1:
             raise ValueError("exact oracle does not model QND repetition")
@@ -97,7 +102,6 @@ def exact_trajectory_tensor(circuit: DynamicCircuit, observables,
     k = 1 << m
     tensor = np.zeros((len(obs), k, k))
     probs = np.zeros(k)
-    widths = circuit.layer_widths
 
     init = engine.simulate_gates(circuit.prep, n)
 
@@ -106,7 +110,7 @@ def exact_trajectory_tensor(circuit: DynamicCircuit, observables,
             if s_acc == v_acc:
                 probs[s_acc] = float(np.vdot(state, state).real)
             for b, (_, ob) in enumerate(obs):
-                tensor[b, s_acc, v_acc] = float(np.vdot(state, ob.apply(state, n)).real)
+                tensor[b, s_acc, v_acc] = ob.expectation(state, n)
             return
         layer = circuit.layers[li]
         state = engine.simulate_gates(layer.pre_gates, n, state=state)
@@ -128,58 +132,24 @@ def exact_trajectory_tensor(circuit: DynamicCircuit, observables,
 
 
 def exact_setting_observables(setting) -> list[tuple[str, Observable]]:
-    """Oracle observables equivalent to a terminal setting's diagonal reads.
-
-    The setting's basis gates are folded into a diagonal observable
-    U^dag D U, evaluated without shot sampling.
-    """
-    out = []
-    for name, ob in setting.observables:
-        if setting.basis_gates:
-            out.append((name, _RotatedDiagonal(ob, setting)))
-        else:
-            out.append((name, _DiagonalOnMeasured(ob, setting)))
-    return out
+    """Oracle observables equivalent to a terminal setting's diagonal reads:
+    each reads its eigenvalues off the setting's measured qubits after the
+    setting's basis gates, without shot sampling."""
+    return [(name, _SettingRead(ob, setting)) for name, ob in setting.observables]
 
 
-class _DiagonalOnMeasured(Observable):
+class _SettingRead(Observable):
+    """<psi|U^dag D U|psi> as sum_t |(U psi)_t|^2 D[t], with U the setting's
+    basis gates and D the observable's values on the measured qubits."""
+
     def __init__(self, ob: Observable, setting):
         self.values = ob.values_on_outcomes(setting.measured)
         self.measured = setting.measured
-        self.support = setting.measured
-        self.norm = ob.norm2()
-
-    def norm2(self):
-        return self.norm
-
-    def apply(self, state, n):
-        idx = np.arange(state.size)
-        k = len(self.measured)
-        pattern = np.zeros(state.size, dtype=np.int64)
-        for j, q in enumerate(self.measured):
-            pattern |= ((idx >> (n - 1 - q)) & 1) << (k - 1 - j)
-        return state * self.values[pattern]
-
-
-class _RotatedDiagonal(Observable):
-    """U^dag D U with U the setting's basis change (exact path only)."""
-
-    def __init__(self, ob: Observable, setting):
-        self.diag = _DiagonalOnMeasured(ob, setting)
         self.gates = setting.basis_gates
-        self.support = setting.measured
 
-    def norm2(self):
-        return self.diag.norm
-
-    def apply(self, state, n):
+    def expectation(self, state, n) -> float:
         rotated = engine.simulate_gates(self.gates, n, state=state)
-        rotated = self.diag.apply(rotated, n)
-        # undo the basis change: apply the inverse gate list in reverse
-        for g in reversed(self.gates):
-            if g.matrix is None:
-                back = g  # cx is self-inverse
-            else:
-                back = Gate(g.name + "_dag", g.qubits, g.matrix.conj().T)
-            rotated = engine.simulate_gates([back], n, state=rotated)
-        return rotated
+        t = np.square(np.abs(rotated)).reshape((2,) * n)
+        rest = [q for q in range(n) if q not in self.measured]
+        marginal = np.transpose(t, list(self.measured) + rest).reshape(self.values.size, -1)
+        return float(marginal.sum(axis=1) @ self.values)

@@ -188,34 +188,13 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
     return consensus, np.ones(reports.shape[1], dtype=bool)
 
 
-def _gate_key(gate) -> tuple:
-    if gate.matrix is None:
-        return gate.name, gate.qubits
-    matrix = np.asarray(gate.matrix)
-    return gate.name, gate.qubits, matrix.dtype.str, matrix.shape, matrix.tobytes()
-
-
-def _entry_keys(circuit: DynamicCircuit) -> list[np.ndarray]:
-    """Per layer, for each table index, the first index whose entry has the
-    same gate sequence (gate name, qubits and matrix bytes; ``Gate`` equality
-    ignores the matrix), so that shots looking up equal entries stay on one
-    branch."""
-    keys = []
-    for layer in circuit.layers:
-        first: dict = {}
-        keys.append(np.array([first.setdefault(tuple(map(_gate_key, entry)), v)
-                              for v, entry in enumerate(layer.table)], dtype=np.int64))
-    return keys
-
-
 def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                noise: NoiseInjector | None, weights: MitigationWeights | None,
-               rng: np.random.Generator, dtype, entry_keys: list[np.ndarray],
-               collect: bool = False):
+               rng: np.random.Generator, dtype, collect: bool = False):
     """Run one batch of ``size`` shots.
 
     ``states`` holds one row per distinct state and ``branch[i]`` is shot
-    i's row.  ``entry_keys`` is ``_entry_keys(circuit)``.
+    i's row.
     """
     n = circuit.n
     widths = circuit.layer_widths
@@ -286,8 +265,8 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         accepted &= layer_ok
         lookup = consensus ^ mask_parts[li]
         if live:
-            branch, parent, row_entry = engine.split(branch, entry_keys[li][lookup], layer.m)
-            states = _apply_table(states[parent], layer, row_entry, n)
+            branch, parent, row_lookup = engine.split(branch, lookup, layer.m)
+            states = _apply_table(states[parent], layer, row_lookup, n)
             states, branch = engine.merge_rows(states, branch)
             states = engine.apply_gates(states, layer.post_gates, n)
 
@@ -349,12 +328,11 @@ class _Run:
     weights: MitigationWeights | None
     seed: int
     dtypes: tuple
-    entry_keys: list[np.ndarray]
 
     def batch(self, j: int, b: int, size: int) -> RunResult:
         setting, _, trial = self.jobs[j]
         return _run_batch(self.circuit, setting, size, self.noise, self.weights,
-                          stream(self.seed, trial, b), self.dtypes[j], self.entry_keys)
+                          stream(self.seed, trial, b), self.dtypes[j])
 
 
 # the run of a forked child, set by _init_child in the child only
@@ -423,8 +401,7 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
     if weights is not None and weights.m != circuit.m:
         raise ValueError(f"weights cover {weights.m} bits, circuit measures {circuit.m}")
     run = _Run(circuit, jobs, noise, weights, seed,
-               tuple(_pick_dtype(circuit, setting) for setting, _, _ in jobs),
-               _entry_keys(circuit))
+               tuple(_pick_dtype(circuit, setting) for setting, _, _ in jobs))
 
     batch = batch_size_for(circuit.n)
     results: list[RunResult | None] = [None] * len(jobs)
@@ -461,7 +438,7 @@ def run_shot(circuit: DynamicCircuit, setting: TerminalSetting,
     if noise is not None:
         noise.validate_for(circuit, setting)
     _, records = _run_batch(circuit, setting, 1, noise, weights, rng,
-                            _pick_dtype(circuit, setting), _entry_keys(circuit), collect=True)
+                            _pick_dtype(circuit, setting), collect=True)
     return records[0]
 
 

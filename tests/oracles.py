@@ -54,6 +54,20 @@ def alpha_by_linear_solve(q):
     return np.linalg.solve(Q, e0)
 
 
+def masked_by_gather(tensor, b, f, q):
+    """``TrajectoryTensor.masked`` as the double sum over s, t of
+    q[s ^ t] T[b, s, t ^ f], on a gathered 2^m x 2^m channel matrix."""
+    q = np.asarray(q, dtype=np.float64)
+    idx = np.arange(tensor.tensor.shape[1])
+    qmat = q[idx[:, None] ^ idx[None, :]]
+    return float((qmat * tensor.tensor[b][:, idx ^ f]).sum())
+
+
+def mitigated_by_loop(tensor, b, q, alpha):
+    """``TrajectoryTensor.mitigated`` as one masked value per mask."""
+    return float(sum(alpha[f] * masked_by_gather(tensor, b, f, q) for f in range(len(alpha))))
+
+
 def dense_unitary(gate, n):
     """The full 2^n x 2^n matrix of a gate via Kronecker products."""
     if gate.name == "cx":

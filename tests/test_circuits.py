@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
+from promkit.circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                               TerminalSetting, ZeroProjector, cx, h, rx, ry, rz,
                               s, sdg, x, xor_feedback_table, y, z)
 
@@ -39,6 +39,19 @@ def test_cx_has_no_matrix():
     assert g.qubits == (0, 1)
     with pytest.raises(ValueError):
         cx(1, 1)
+
+
+def test_only_cx_has_two_qubits():
+    """The engine applies CX by name and every other gate as a 2x2 matrix,
+    so no other multi-qubit gate can be built."""
+    swap, one = np.eye(4)[[0, 2, 1, 3]], h(0).matrix
+    for bad in (lambda: Gate("swap", (0, 1), swap), lambda: Gate("h2", (0, 1), one),
+                lambda: Gate("cx", (0,)), lambda: Gate("cx", (0, 1), swap),
+                lambda: Gate("h", (0,)), lambda: Gate("u", (0,), swap),
+                lambda: Gate("id", ())):
+        with pytest.raises(ValueError):
+            bad()
+    assert Gate("u", (2,), one).qubits == (2,)
 
 
 class TestFeedforwardLayer:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from promkit import cli, config
+from promkit import cli, config, oracle
 from promkit.mitigation import GeneralWeights
 from promkit.readout import ConfusionMatrix
 
@@ -432,3 +432,77 @@ def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
     assert err.startswith("error:")
     if "path" in case:  # refused before open(), not failed in it
         assert "path must be a string" in err
+
+
+ONE_LAYER = {"n": 1, "layers": [{"measured": [0], "table": [[], [["x", 0]]]}],
+             "settings": [{"name": "t", "measured": [0],
+                           "observables": [{"name": "z", "pauli": "Z"}]}]}
+
+
+@pytest.mark.parametrize("cfg, circuit", [
+    # a misspelt key used to be ignored: n=1, the default phi_x, no terminal
+    # channel, no post gates
+    ({"experiment": "reset", "parameters": {"nn": 6}}, None),
+    ({"experiment": "teleport", "parameters": {"k": 1, "phix": 0.3}}, None),
+    ({"experiment": "reset", "noise": {"kind": "uniform", "m": 1, "rate": 0.1,
+                                       "terminl": {"kind": "uniform", "m": 1, "rate": 0.1}}},
+     None),
+    (None, {**ONE_LAYER, "layers": [{**ONE_LAYER["layers"][0], "psot": [["h", 0]]}]}),
+    ({"experiment": "reset", "noise": {"kind": "uniform", "m": 1, "rate": 0.1,
+                                       "terminal": {"kind": "uniform", "m": 1, "rate": 0.1,
+                                                    "bfa": True}}}, None),
+    ({"experiment": "reset", "noise": {"kind": "layered", "parts": [
+        {"kind": "tensored", "rates": [0.1], "m": 1}]}}, None),
+    ({"experiment": "reset", "noise": {"kind": "asymmetric", "bfa": True, "rate": 0.1,
+                                       "matrices": [[[0.9, 0.2], [0.1, 0.8]]]}}, None),
+    ({"experiment": "reset", "noise": {"kind": "uniform", "m": 1, "rate": 0.1},
+      "mitigation": {"mode": "prom-general", "repeat": 3}}, None),
+    ({"experiment": "reset", "mitigation": {"mode": "rep", "repeat": 3,
+                                            "consensus": "majority", "bfa": True}}, None),
+    (None, {**ONE_LAYER, "prepp": [["h", 0]]}),
+    (None, {**ONE_LAYER, "settings": [{**ONE_LAYER["settings"][0], "bases": [["h", 0]]}]}),
+    (None, {**ONE_LAYER, "settings": [{"name": "t", "measured": [0], "observables": [
+        {"name": "z", "pauli": "Z", "zeros": [0]}]}]}),
+    (None, {**ONE_LAYER, "settings": [{"name": "t", "measured": [0], "observables": [
+        {"name": "p", "zeros": [0], "sign": -1}]}]}),
+])
+def test_unknown_keys_rejected(tmp_path, capsys, cfg, circuit):
+    """Every config object refuses a key it does not read."""
+    if circuit is not None:  # the circuit without the bad key runs
+        path = write(tmp_path, "ok.json", custom_config(tmp_path, ONE_LAYER))
+        assert cli.main(["run", "--config", path]) == 0
+        capsys.readouterr()
+        cfg = custom_config(tmp_path, circuit)
+    path = write(tmp_path, "cfg.json", dict(cfg, shots=10))
+    assert cli.main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown" in err
+
+
+def test_calibrate_takes_one_confusion_matrix(tmp_path, capsys):
+    """Calibration reads all mid-circuit bits as one layer, so a confusion
+    matrix per layer is an error line, not a traceback."""
+    bell = [[0.9, 0.05, 0.05, 0.0], [0.04, 0.9, 0.0, 0.05],
+            [0.05, 0.0, 0.9, 0.05], [0.01, 0.05, 0.05, 0.9]]
+    noise = {"kind": "asymmetric", "matrices": [bell, bell], "bfa": True}
+    path = write(tmp_path, "cfg.json", {"experiment": "teleport", "parameters": {"k": 2},
+                                        "noise": noise, "shots": 100})
+    assert cli.main(["calibrate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "single confusion matrix" in err
+
+
+def test_oracle_walks_the_circuit_once(tmp_path, capsys, monkeypatch):
+    """The observables of every setting go into one trajectory walk."""
+    calls = []
+
+    def spy(circuit, observables, _real=oracle.exact_trajectory_tensor):
+        calls.append(len(observables))
+        return _real(circuit, observables)
+    monkeypatch.setattr(oracle, "exact_trajectory_tensor", spy)
+    path = write(tmp_path, "cfg.json", {"experiment": "ghz", "parameters": {"b": 2, "p": 1},
+                                        "noise": {"kind": "uniform", "m": 1, "rate": 0.05}})
+    assert cli.main(["oracle", "--config", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["settings"]) > 1
+    assert calls == [sum(len(s["observables"]) for s in payload["settings"])]

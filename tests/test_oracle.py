@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_distribution
+from oracles import masked_by_gather, mitigated_by_loop, random_distribution
 from promkit import oracle
 from promkit.bits import SizeCapError
 from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
@@ -9,6 +11,8 @@ from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
                               xor_feedback_table)
 from promkit.experiments import build_teleport_circuit
 from promkit.mitigation import GeneralWeights
+from promkit.simulator import estimate_observables, run_shots
+from strategies import runs
 
 
 def reset_circuit():
@@ -134,3 +138,54 @@ def test_oracle_rejects_repetition():
     c = DynamicCircuit(n=1, layers=(layer,))
     with pytest.raises(ValueError):
         oracle.exact_trajectory_tensor(c, [("z", PauliString("Z", (0,)))])
+
+
+# what the oracle models: no QND repetition, no terminal readout noise, at
+# most MAX_M mid-circuit bits, and here at least one feedforward layer
+ORACLE_RUNS = runs(kinds=("none", "model"), terminal=False, max_m=oracle.MAX_M,
+                   consensus=[(1, "none")], min_layers=1)
+
+
+@given(ORACLE_RUNS, st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_per_mask_matches_the_double_sums(run, seed):
+    """One XOR convolution gives what the double sum gives for each mask,
+    and the weights of an invertible channel recover the ideal value."""
+    circuit, _, _ = run
+    setting = circuit.settings[0]
+    obs = oracle.exact_setting_observables(setting) + [("z0", PauliString("Z", (0,)))]
+    t = oracle.exact_trajectory_tensor(circuit, obs)
+    rng = np.random.default_rng(seed)
+    k = 1 << circuit.m
+    q = random_distribution(rng, k)
+    alpha = rng.normal(size=k)
+    for b in range(len(obs)):
+        want = [masked_by_gather(t, b, f, q) for f in range(k)]
+        assert np.allclose(t.per_mask(b, q), want, rtol=0, atol=1e-12)
+        assert t.masked(b, k - 1, q) == pytest.approx(want[-1], rel=0, abs=1e-12)
+        assert t.mitigated(b, q, alpha) == pytest.approx(
+            mitigated_by_loop(t, b, q, alpha), rel=0, abs=1e-12)
+        assert t.mitigated(b, q, GeneralWeights(q)) == pytest.approx(t.ideal(b), abs=1e-9)
+
+
+SAMPLER_SHOTS = 20000
+
+
+@given(ORACLE_RUNS, st.integers(0, 2 ** 16))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sampler_matches_oracle(run, seed):
+    """On random circuits, noise models and weights, every shot estimate
+    lies within 5 stderr of the oracle's mean of the estimator: the
+    mitigated value for the weights drawn, the unmasked value without."""
+    circuit, noise, weights = run
+    setting = circuit.settings[0]
+    q = np.eye(1 << circuit.m)[0] if noise is None else noise.model.expand()
+    t = oracle.exact_trajectory_tensor(circuit, oracle.exact_setting_observables(setting))
+    result = run_shots(circuit, setting, SAMPLER_SHOTS, noise=noise, weights=weights,
+                       seed=seed)
+    for b, est in enumerate(estimate_observables(result)):
+        exact = t.mitigated(b, q, weights) if weights is not None else t.masked(b, 0, q)
+        if est.stderr == 0:
+            assert est.estimate == pytest.approx(exact, rel=0, abs=1e-9)
+        else:
+            assert abs(est.estimate - exact) <= 5 * est.stderr
