@@ -2,10 +2,12 @@
 
 States are stored as a (rows, 2**n) array so that every row advances through
 each gate with a handful of vectorized operations.  The simulator keeps one
-row per distinct state, shared by every shot whose history led to it;
+row per distinct state, shared by every shot whose history led to it.
 ``measure`` draws each shot's outcome against its row and splits the rows
-on the outcomes, and ``merge_rows`` folds rows whose bytes became equal
-back into one.  Qubit j (0 = most significant bit of the basis index)
+on the outcomes into collapsed rows: the outcome (slot) and the amplitudes
+of the unmeasured qubits (slice).  ``merge_slices`` and ``merge_rows`` fold
+collapsed and full rows with equal bytes into one; ``expand`` makes
+collapsed rows full.  Qubit j (0 = most significant bit of the basis index)
 corresponds to axis 1 + j when the batch is viewed as (rows, 2, ..., 2).
 
 The per-shot classical work is O(shots) per call: an outcome draw is a
@@ -97,6 +99,12 @@ def simulate_gates(gates, n: int, state: np.ndarray | None = None,
     return apply_gates(states, gates, n)[0]
 
 
+def _axes(qubits, n: int) -> list[int]:
+    """(rows, 2, ..., 2) axes: rows, ``qubits`` as listed, the rest ascending."""
+    axes = [1 + q for q in qubits]
+    return [0] + axes + [ax for ax in range(1, n + 1) if ax not in axes]
+
+
 def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
             rows: np.ndarray, collapse: bool = True):
     """Sample and collapse a computational-basis measurement of ``qubits``.
@@ -104,18 +112,15 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     Shot i reads its outcome from state row ``rows[i]`` with one uniform draw
     u against that row's cumulative distribution: the outcome is the number
     of cumulative entries <= u, found by a k-step binary descent; outcome
-    bit 0 is the first listed qubit.  Returns (collapsed states, outcomes,
-    branch): one renormalized row per distinct (row, outcome) pair, in sorted
-    order, and each shot's index into them.  ``collapse=False`` skips the
-    collapsed rows (states and branch are None) when only the outcomes are
-    needed.
+    bit 0 is the first listed qubit.  Returns ((slots, slices), outcomes,
+    branch): one collapsed row per distinct (row, outcome) pair, in sorted
+    order, with its slice renormalized, and each shot's index into them.
+    ``collapse=False`` skips them (slots, slices and branch are None).
     """
     batch = states.shape[0]
     k = len(qubits)
     t = states.reshape((batch,) + (2,) * n)
-    axes = [1 + q for q in qubits]
-    rest = [ax for ax in range(1, n + 1) if ax not in axes]
-    t = np.ascontiguousarray(np.transpose(t, [0] + axes + rest)).reshape(batch, 1 << k, -1)
+    t = np.ascontiguousarray(np.transpose(t, _axes(qubits, n))).reshape(batch, 1 << k, -1)
 
     probs = np.square(np.abs(t)).sum(axis=2).astype(np.float64)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -136,18 +141,21 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     gap = flat[base + ((1 << k) - 1)] <= u
     outcomes[gap] = last[shot_rows[gap]]
     if not collapse:
-        return None, outcomes, None
+        return (None, None), outcomes, None
 
-    branch, parent, kept_outcome = split(shot_rows, outcomes, k)
-    kept = t[parent, kept_outcome, :]
-    norms = np.sqrt(probs[parent, kept_outcome]).astype(kept.real.dtype)
-    collapsed = np.zeros((parent.size,) + t.shape[1:], dtype=t.dtype)
-    collapsed[np.arange(parent.size), kept_outcome, :] = kept / norms[:, None]
+    branch, parent, slots = split(shot_rows, outcomes, k)
+    norms = np.sqrt(probs[parent, slots]).astype(t.real.dtype)
+    return (slots, t[parent, slots, :] / norms[:, None]), outcomes, branch
 
-    inverse = np.argsort([0] + axes + rest)
-    out = np.transpose(collapsed.reshape((parent.size,) + (2,) * n), inverse)
-    out = np.ascontiguousarray(out).reshape(parent.size, 1 << n)
-    return out, outcomes, branch
+
+def expand(slots: np.ndarray, slices: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Full rows of collapsed ones: row i holds ``slices[i]`` where the
+    measured ``qubits`` read ``slots[i]``, and zeros everywhere else."""
+    rows = slots.size
+    collapsed = np.zeros((rows, 1 << len(qubits), slices.shape[1]), dtype=slices.dtype)
+    collapsed[np.arange(rows), slots] = slices
+    out = np.transpose(collapsed.reshape((rows,) + (2,) * n), np.argsort(_axes(qubits, n)))
+    return np.ascontiguousarray(out).reshape(rows, 1 << n)
 
 
 DENSE_SPLIT_RATIO = 4
@@ -207,6 +215,18 @@ def merge_rows(states: np.ndarray, branch: np.ndarray):
     if not np.array_equal(words[moved], words[first[inverse[moved]]]):
         return states, branch
     return states[first], inverse[branch]
+
+
+def merge_slices(slots: np.ndarray, slices: np.ndarray, branch: np.ndarray):
+    """``merge_rows`` on keys of a slot word and the slice's bytes, padded to
+    whole words: rows merge when their full rows' bytes would be equal."""
+    nbytes = slices.shape[1] * slices.itemsize
+    keys = np.zeros((slots.size, 1 + -(-nbytes // 8)), dtype=np.uint64)
+    keys[:, 0] = slots
+    keys.view(np.uint8)[:, 8:8 + nbytes] = np.ascontiguousarray(slices).view(np.uint8)
+    merged, branch = merge_rows(keys, branch)
+    slices = np.ascontiguousarray(merged.view(np.uint8)[:, 8:8 + nbytes]).view(slices.dtype)
+    return merged[:, 0].astype(np.int64), slices, branch
 
 
 def apply_x_masks(states: np.ndarray, qubits, masks: np.ndarray, n: int) -> np.ndarray:

@@ -20,20 +20,21 @@ start method does not exist, every batch runs in this process.
 
 Within a batch the statevector is evolved once per distinct state, not once
 per shot.  Rows split after each twirl, each mid-circuit measurement and
-each table lookup, and after each table and each un-twirl the rows whose
-bytes are equal merge into one: feedforward that steers many histories to
-one state (a reset, say) leaves one row for them all.  State that nothing
-reads is not evolved: after the last layer of a setting that measures no
-qubit, the outcomes are drawn but no row is collapsed, un-twirled or
-tabled.  Every shot draws its own randomness in a fixed order and reads its
-outcome against a row with the same bytes as in a one-row-per-shot
-simulation, so the records are that simulation's.
+each table lookup.  A table whose gates are X on measured qubits or touch
+only unmeasured ones runs on collapsed rows (see ``engine``): the X gates and
+an un-twirl XOR the slot, and the rest act on the slice; rows merge on
+(slot, slice) before they expand.  Any other table expands first and merges
+full rows after.  So feedforward that steers many histories to one state (a
+reset, say) leaves one row for them all.  The last layer of a setting that
+measures no qubit collapses no row.  Every shot draws its randomness in a
+fixed order and reads its outcome against a row with the nonzero amplitudes
+of a one-row-per-shot simulation, so the records are that simulation's.
 """
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,14 +161,39 @@ def _pick_dtype(circuit: DynamicCircuit, setting: TerminalSetting):
     return np.float32 if real else np.complex64
 
 
-def _apply_table(states, layer, lookup, n):
+def _apply_table(states, table, lookup, n):
     for v in np.unique(lookup):
-        gates = layer.table[int(v)]
+        gates = table[int(v)]
         if not gates:
             continue
         sel = lookup == v
         states[sel] = engine.apply_gates(states[sel], gates, n)
     return states
+
+
+def _compact_table(layer, n: int):
+    """(xor, entries) if every table gate is an X on a measured qubit or acts
+    on unmeasured ones only, else None: ``xor[v]`` XORs entry v's X gates onto
+    the slot, and ``entries[v]`` holds its other gates on the slice's qubits."""
+    bit = {q: 1 << (layer.m - 1 - j) for j, q in enumerate(layer.measured)}
+    rest = {q: i for i, q in enumerate(q for q in range(n) if q not in bit)}
+    xor = np.zeros(len(layer.table), dtype=np.int64)
+    entries = []
+    for v, gates in enumerate(layer.table):
+        others = []
+        for g in gates:
+            if g.name == "x" and g.qubits[0] in bit:
+                xor[v] ^= bit[g.qubits[0]]
+            elif all(q in rest for q in g.qubits):
+                others.append(replace(g, qubits=tuple(rest[q] for q in g.qubits)))
+            else:
+                return None
+        entries.append(tuple(others))
+    return xor, tuple(entries)
+
+
+def _compile(circuit: DynamicCircuit) -> tuple:
+    return tuple(_compact_table(layer, circuit.n) for layer in circuit.layers)
 
 
 def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +216,16 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                noise: NoiseInjector | None, weights: MitigationWeights | None,
-               rng: np.random.Generator, dtype, collect: bool = False):
+               rng: np.random.Generator, dtype, collect: bool = False, tables=None):
     """Run one batch of ``size`` shots.
 
     ``states`` holds one row per distinct state and ``branch[i]`` is shot
-    i's row.
+    i's row; ``tables`` is ``_compile(circuit)``, made here if not given.
     """
     n = circuit.n
     widths = circuit.layer_widths
     max_rep = max((layer.repeat for layer in circuit.layers), default=1)
+    tables = _compile(circuit) if tables is None else tables
 
     # all classical randomness that can be presampled is drawn up front in a
     # fixed order, so the draw sequence does not depend on outcomes
@@ -226,23 +253,17 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         live = li < last or bool(setting.measured)
         states = engine.apply_gates(states, layer.pre_gates, n)
 
+        twirl = None
         if noise is not None and noise.matrices is not None and noise.bfa:
             twirl = rng.integers(0, 1 << layer.m, size=size)
             branch, parent, row_twirl = engine.split(branch, twirl, layer.m)
             states = engine.apply_x_masks(states[parent], layer.measured, row_twirl, n)
-            states, twirled_true, branch = engine.measure(states, layer.measured, n, rng,
-                                                          rows=branch, collapse=live)
-            true = twirled_true ^ twirl
-            if live:
-                # undo each collapsed row's twirl, which all of its shots share
-                row_twirl = np.empty(states.shape[0], dtype=np.int64)
-                row_twirl[branch] = twirl
-                states = engine.apply_x_masks(states, layer.measured, row_twirl, n)
-                states, branch = engine.merge_rows(states, branch)
-        else:
-            twirl = None
-            states, true, branch = engine.measure(states, layer.measured, n, rng, rows=branch,
-                                                  collapse=live)
+        (slots, slices), true, branch = engine.measure(states, layer.measured, n, rng,
+                                                       rows=branch, collapse=live)
+        if twirl is not None:
+            true = true ^ twirl
+            if live:  # un-twirl: a row's slot becomes its shots' true outcome
+                slots[branch] = true
 
         reports = np.empty((layer.repeat, size), dtype=np.int64)
         for j in range(layer.repeat):
@@ -266,8 +287,16 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         lookup = consensus ^ mask_parts[li]
         if live:
             branch, parent, row_lookup = engine.split(branch, lookup, layer.m)
-            states = _apply_table(states[parent], layer, row_lookup, n)
-            states, branch = engine.merge_rows(states, branch)
+            if tables[li] is None:
+                states = engine.expand(slots[parent], slices[parent], layer.measured, n)
+                states = _apply_table(states, layer.table, row_lookup, n)
+                states, branch = engine.merge_rows(states, branch)
+            else:
+                xor, entries = tables[li]  # on collapsed rows; merged rows expand
+                slices = _apply_table(slices[parent], entries, row_lookup, n - layer.m)
+                slots, slices, branch = engine.merge_slices(slots[parent] ^ xor[row_lookup],
+                                                            slices, branch)
+                states = engine.expand(slots, slices, layer.measured, n)
             states = engine.apply_gates(states, layer.post_gates, n)
 
         trues.append(true)
@@ -328,11 +357,12 @@ class _Run:
     weights: MitigationWeights | None
     seed: int
     dtypes: tuple
+    tables: tuple  # the layers' _compile forms
 
     def batch(self, j: int, b: int, size: int) -> RunResult:
         setting, _, trial = self.jobs[j]
         return _run_batch(self.circuit, setting, size, self.noise, self.weights,
-                          stream(self.seed, trial, b), self.dtypes[j])
+                          stream(self.seed, trial, b), self.dtypes[j], tables=self.tables)
 
 
 # the run of a forked child, set by _init_child in the child only
@@ -401,7 +431,7 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
     if weights is not None and weights.m != circuit.m:
         raise ValueError(f"weights cover {weights.m} bits, circuit measures {circuit.m}")
     run = _Run(circuit, jobs, noise, weights, seed,
-               tuple(_pick_dtype(circuit, setting) for setting, _, _ in jobs))
+               tuple(_pick_dtype(circuit, setting) for setting, _, _ in jobs), _compile(circuit))
 
     batch = batch_size_for(circuit.n)
     results: list[RunResult | None] = [None] * len(jobs)

@@ -67,7 +67,8 @@ def test_measure_collapses_and_normalizes():
     states = engine.zero_states(512, 1, dtype=np.complex128)
     states = engine.apply_gates(states, [h(0)], 1)
     rng = np.random.default_rng(3)
-    states, outcomes, branch = engine.measure(states, (0,), 1, rng, rows=np.arange(512))
+    collapsed, outcomes, branch = engine.measure(states, (0,), 1, rng, rows=np.arange(512))
+    states = engine.expand(*collapsed, (0,), 1)
     assert set(np.unique(outcomes)) <= {0, 1}
     # one shot per row, so each keeps its own row
     assert np.array_equal(branch, np.arange(512))
@@ -150,7 +151,8 @@ def test_measure_rounding_gap_takes_last_possible_outcome():
     collapsed, outcomes, _ = engine.measure(state.copy(), (0, 1), 2, _TopRng(),
                                             rows=np.arange(1))
     assert outcomes[0] == 2
-    assert np.allclose(collapsed, [[0.0, 0.0, 1.0, 0.0]], rtol=0, atol=1e-12)
+    assert np.allclose(engine.expand(*collapsed, (0, 1), 2), [[0.0, 0.0, 1.0, 0.0]],
+                       rtol=0, atol=1e-12)
 
 
 def test_measure_rows_read_each_shot_against_its_row():
@@ -162,10 +164,16 @@ def test_measure_rows_read_each_shot_against_its_row():
                                                  np.random.default_rng(0), rows=rows)
     assert outcomes.tolist() == [3, 0, 3]
     assert branch.tolist() == [1, 0, 1]
-    assert np.array_equal(collapsed, states)
+    assert np.array_equal(engine.expand(*collapsed, (0, 1), 2), states)
     _, drawn, none = engine.measure(states, (0, 1), 2, np.random.default_rng(0),
                                     rows=rows, collapse=False)
     assert drawn.tolist() == [3, 0, 3] and none is None
+
+
+def measure_expanded(states, qubits, n, rng, rows):
+    """``engine.measure`` with its collapsed rows expanded to full rows."""
+    collapsed, outcomes, branch = engine.measure(states, qubits, n, rng, rows=rows)
+    return engine.expand(*collapsed, qubits, n), outcomes, branch
 
 
 def _sparse_rows(rng, rows, k):
@@ -197,7 +205,7 @@ def test_measure_descent_matches_count(k, rows, shots):
     u[top] = cum[shot_rows[top], -1]
     u = np.minimum(u, np.nextafter(1.0, 0.0))
     qubits = tuple(range(k))
-    got = engine.measure(states.copy(), qubits, k, _FixedRng(u), rows=shot_rows)
+    got = measure_expanded(states.copy(), qubits, k, _FixedRng(u), rows=shot_rows)
     want = measure_by_count(states.copy(), qubits, k, _FixedRng(u), rows=shot_rows)
     for mine, theirs in zip(got, want):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
@@ -213,7 +221,7 @@ def test_measure_matches_count_on_random_states(n, seed):
     base = engine.apply_gates(engine.zero_states(3, n), random_gates(rng, n, 8), n)
     qubits = tuple(int(q) for q in rng.permutation(n)[:rng.integers(1, n + 1)])
     rows = rng.integers(0, 3, 200)
-    got = engine.measure(base.copy(), qubits, n, np.random.default_rng(seed), rows=rows)
+    got = measure_expanded(base.copy(), qubits, n, np.random.default_rng(seed), rows=rows)
     want = measure_by_count(base.copy(), qubits, n, np.random.default_rng(seed), rows=rows)
     for mine, theirs in zip(got, want):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
@@ -324,3 +332,48 @@ def test_merge_rows_collision_merges_nothing(monkeypatch):
     merged, new_branch = engine.merge_rows(states, branch)
     assert merged.shape[0] == 2
     assert merged[new_branch].tobytes() == states[branch].tobytes()
+
+
+def _collapsed_with_repeats(rng, distinct, copies, k, width, dtype):
+    """(slots, slices, branch): ``distinct`` collapsed rows over k measured
+    qubits and ``width`` slice amplitudes, each stored ``copies`` times in a
+    shuffled order; half of the rows share a slice with another slot."""
+    slices = rng.normal(size=(distinct, width))
+    if np.iscomplexobj(np.empty(0, dtype=dtype)):
+        slices = slices + 1j * rng.normal(size=slices.shape)
+    slices[1::2] = slices[::2][:slices[1::2].shape[0]]
+    slots = rng.permutation(np.arange(distinct) % (1 << k))
+    order = rng.permutation(distinct * copies)
+    slots = np.repeat(slots, copies)[order]
+    slices = np.repeat(slices.astype(dtype), copies, axis=0)[order]
+    branch = rng.integers(0, slots.size, 3 * slots.size)
+    return slots, slices, branch
+
+
+@pytest.mark.parametrize("n, k, dtype", [(1, 1, np.float32), (3, 3, np.float32),
+                                         (3, 1, np.complex64), (4, 2, np.float32),
+                                         (2, 1, np.complex128)])
+@pytest.mark.parametrize("distinct, copies", [(1, 1), (1, 5), (2, 3), (7, 3)])
+def test_merge_slices_merges_exactly_the_equal_full_rows(n, k, dtype, distinct, copies):
+    # (1, 1) and (3, 3) hold one amplitude per slice: 4 bytes in float32
+    rng = np.random.default_rng(n * k + distinct * copies)
+    qubits = tuple(range(n - 1, n - 1 - k, -1))
+    slots, slices, branch = _collapsed_with_repeats(rng, distinct, copies, k, 1 << (n - k),
+                                                    dtype)
+    full = engine.expand(slots, slices, qubits, n)
+    merged_slots, merged_slices, new_branch = engine.merge_slices(slots, slices, branch)
+    assert merged_slots.dtype == slots.dtype and merged_slices.dtype == slices.dtype
+    merged = engine.expand(merged_slots, merged_slices, qubits, n)
+    assert merged[new_branch].tobytes() == full[branch].tobytes()
+    assert merged.shape[0] == len({row.tobytes() for row in full})
+
+
+def test_merge_slices_keeps_signed_zeros_and_slots_apart():
+    slots = np.array([0, 0, 1, 0, 1])
+    slices = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+                      dtype=np.float32)
+    branch = np.array([0, 1, 2, 3, 4, 4, 1])
+    merged_slots, merged_slices, new_branch = engine.merge_slices(slots, slices, branch)
+    assert merged_slots.size == 3
+    assert merged_slots[new_branch].tolist() == slots[branch].tolist()
+    assert merged_slices[new_branch].tobytes() == slices[branch].tobytes()

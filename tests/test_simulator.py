@@ -5,13 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from oracles import per_shot_run
-from promkit import engine, experiments, simulator
+from oracles import per_shot_batch, per_shot_run
+from promkit import config, engine, experiments, simulator
 from promkit.bits import stream
 from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
-                              TerminalSetting, ZeroProjector, cx, h, s, x,
+                              TerminalSetting, ZeroProjector, cx, h, rx, ry, rz, s, x,
                               xor_feedback_table)
-from promkit.mitigation import EstimatorAccumulator, solve_weights
+from promkit.mitigation import EstimatorAccumulator, TensoredWeights, solve_weights
 from promkit.readout import (ConfusionMatrix, GeneralModel, TensoredModel, UniformModel,
                              calibrate)
 from promkit.simulator import (NoiseInjector, batch_size_for, estimate_observables,
@@ -277,6 +277,105 @@ def test_multi_layer_mask_split():
     # layer 0: clean reading, mask 0 -> reset works; layer 1: syndrome 1
     # cancelled by mask bit -> reset works as well
     assert estimate_observables(res)[0].estimate == 1.0
+
+
+# ---------------------------------------------------------------------------
+# feedforward tables on collapsed rows
+
+def test_reset_table_builds_full_rows_only_for_merged_states(monkeypatch):
+    # one 8192-shot batch of the reset-wide benchmark config: the table runs
+    # on the split rows' slices, and no full-row array has more rows than the
+    # merge leaves
+    plan = config.plan_config({"experiment": "reset", "parameters": {"n": 6},
+                               "noise": {"kind": "uniform", "m": 6, "rate": 0.03},
+                               "mitigation": "prom-general", "shots": 8192, "seed": 7})
+    n = plan.circuit.n
+    assert batch_size_for(n) == 8192
+    full, merged, tabled = [], [], []
+
+    def spy(fn, *args, **kwargs):
+        out = fn(*args, **kwargs)
+        for a in (*args, *(out if isinstance(out, tuple) else (out,))):
+            if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[1] == 1 << n:
+                full.append(a.shape[0])
+        return out
+
+    for name in ("zero_states", "apply_gates", "apply_x_masks", "measure", "expand",
+                 "merge_rows"):
+        monkeypatch.setattr(engine, name, lambda *a, _fn=getattr(engine, name), **k:
+                            spy(_fn, *a, **k))
+    merge_slices, apply_table = engine.merge_slices, simulator._apply_table
+
+    def merge_spy(*args):
+        out = merge_slices(*args)
+        merged.append(out[0].size)
+        return out
+
+    def table_spy(states, *rest):
+        tabled.append(states.shape)
+        return apply_table(states, *rest)
+
+    monkeypatch.setattr(engine, "merge_slices", merge_spy)
+    monkeypatch.setattr(simulator, "_apply_table", table_spy)
+    config.run_plan(plan)
+    assert len(merged) == len(tabled) == 1
+    assert tabled[0][1] == 1 << (n - plan.circuit.layers[0].m)
+    assert merged[0] < tabled[0][0]
+    assert full and max(full) == merged[0]
+
+
+def confusion(m: int) -> ConfusionMatrix:
+    matrix = np.ones((1, 1))
+    for j in range(m):
+        up, down = 0.02 + 0.01 * j, 0.07 - 0.01 * j
+        matrix = np.kron(matrix, [[1 - up, down], [up, 1 - down]])
+    return ConfusionMatrix(matrix)
+
+
+def table_circuit(fallback: bool) -> DynamicCircuit:
+    """Two layers on four qubits.  Layer 0 measures (2, 0) and its table
+    flips measured qubits and runs rz and cx on the unmeasured 1 and 3;
+    ``fallback`` puts an h on measured qubit 0 into one entry."""
+    entries = [(), (x(0), rz(0.7, 1)), (x(2), cx(3, 1)),
+               (x(0), x(2), rz(1.9, 3), cx(1, 3), x(0))]
+    if fallback:
+        entries[1] = (h(0), rz(0.7, 1))
+    layer0 = FeedforwardLayer(measured=(2, 0), table=tuple(entries), pre_gates=(cx(1, 2),),
+                              post_gates=(h(2),))
+    layer1 = FeedforwardLayer(measured=(1,), table=xor_feedback_table((1,)),
+                              pre_gates=(cx(3, 1),))
+    setting = TerminalSetting(name="t", measured=(0, 1, 2, 3), basis_gates=(h(3),),
+                              observables=(("zzzz", PauliString("ZZZZ", (0, 1, 2, 3))),))
+    prep = (h(0), ry(0.9, 1), h(2), cx(0, 3), rx(0.4, 3), cx(2, 1))
+    return DynamicCircuit(n=4, prep=prep, layers=(layer0, layer1), settings=(setting,))
+
+
+@pytest.mark.parametrize("bfa", [False, True])
+@pytest.mark.parametrize("fallback", [False, True])
+def test_both_table_forms_give_the_per_shot_records(monkeypatch, fallback, bfa):
+    circuit = table_circuit(fallback)
+    setting = circuit.settings[0]
+    assert (simulator._compact_table(circuit.layers[0], circuit.n) is None) == fallback
+    widths, apply_table = [], simulator._apply_table
+
+    def table_spy(states, *rest):
+        widths.append(states.shape[1])
+        return apply_table(states, *rest)
+
+    monkeypatch.setattr(simulator, "_apply_table", table_spy)
+    noise = NoiseInjector(matrices=[confusion(2), confusion(1)], bfa=bfa)
+    weights = TensoredWeights([0.05, 0.1, 0.02])
+    got = run_shots(circuit, setting, 3000, noise=noise, weights=weights, seed=4)
+    want = per_shot_run(circuit, setting, 3000, noise=noise, weights=weights, seed=4)
+    assert result_bytes(got) == result_bytes(want)
+    # layer 0 tables full rows or 2-qubit slices; layer 1 always 3-qubit slices
+    assert set(widths) == {16 if fallback else 4, 8}
+
+    dtype = simulator._pick_dtype(circuit, setting)
+    _, records = simulator._run_batch(circuit, setting, 500, noise, weights, stream(4, 1),
+                                      dtype, collect=True)
+    assert records == per_shot_batch(circuit, setting, 500, noise, weights, stream(4, 1),
+                                     dtype, collect=True)[1]
 
 
 # ---------------------------------------------------------------------------
