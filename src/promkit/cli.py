@@ -120,10 +120,7 @@ def _part_entries(weights) -> list[dict]:
 
 def cmd_weights(args: argparse.Namespace) -> int:
     raw = configmod.read_json(args.config, "noise spec")
-    noise = configmod.build_noise(_noise_spec_of(raw))
-    if noise is None:
-        raise configmod.ConfigError("weights needs a noise spec with a model")
-    model = configmod.symmetrized_model(noise)
+    model = configmod.symmetrized_model(configmod.build_noise(_noise_spec_of(raw)))
     weights = solve_weights(model)
     eta = model.total_error()
     payload = {"xi": weights.xi, "eta": eta, "parts": _part_entries(weights),

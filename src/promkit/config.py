@@ -393,18 +393,14 @@ def _validate_mitigation(spec) -> dict:
     raise ConfigError(f"unknown mitigation mode {mode!r}")
 
 
-def symmetrized_model(noise: NoiseInjector) -> SyndromeModel:
-    """The symmetrized channel that prom-* weights invert: the noise model
-    itself, or the bit-flip-averaged confusion matrices, one part each."""
-    if noise.model is not None:
-        return noise.model
-    if noise.matrices is not None:
-        if not noise.bfa:
-            raise ConfigError("asymmetric noise can only be inverted under "
-                              "bit-flip averaging (bfa: true)")
-        parts = [GeneralModel(mat.symmetrize()) for mat in noise.matrices]
-        return parts[0] if len(parts) == 1 else LayeredModel(parts)
-    raise ConfigError("prom mitigation needs a noise model to invert")
+def symmetrized_model(noise: NoiseInjector | None) -> SyndromeModel:
+    """The symmetrized channel that prom-* weights invert
+    (``NoiseInjector.symmetrized``)."""
+    model = None if noise is None else noise.symmetrized()
+    if model is None:
+        raise ConfigError("no symmetrized readout channel to invert: needs a noise "
+                          "model, or asymmetric noise under bit-flip averaging (bfa: true)")
+    return model
 
 
 def build_mitigation(spec, circuit: DynamicCircuit,
@@ -417,8 +413,6 @@ def build_mitigation(spec, circuit: DynamicCircuit,
         return circuit, None
     if mode == "rep":
         return experiments.apply_rep_strategy(circuit, spec["repeat"], spec["consensus"]), None
-    if noise is None:
-        raise ConfigError("prom mitigation needs a noise spec")
     model = symmetrized_model(noise)
     if mode == "prom-layered":
         return circuit, solve_weights(model)

@@ -42,7 +42,7 @@ from . import engine
 from .bits import split_index, stream
 from .circuits import DynamicCircuit, TerminalSetting
 from .mitigation import EstimatorAccumulator, MitigationWeights, terminal_rem
-from .readout import ConfusionMatrix, SyndromeModel
+from .readout import ConfusionMatrix, GeneralModel, LayeredModel, SyndromeModel
 
 MAX_BATCH = 16384
 TARGET_BATCH_ELEMENTS = 1 << 21  # ~16 MiB of complex64 amplitudes per batch
@@ -55,9 +55,9 @@ def batch_size_for(n: int) -> int:
 
 @dataclass
 class NoiseInjector:
-    """Configuration of the injected readout errors.
+    """The injected readout errors, and the only code that reads their kind.
 
-    Exactly one of the three mechanisms may be active:
+    At most one of the two mid-circuit mechanisms may be active:
 
     * ``model``     — symmetrized channel: a joint syndrome distribution over
                       all mid-circuit bits (layer slices are XORed onto the
@@ -67,22 +67,21 @@ class NoiseInjector:
                       With ``bfa=True`` each measurement is sandwiched in a
                       uniformly random X-mask (applied to the state) and the
                       report is classically flipped back.
-    * ``forced``    — deterministic per-layer syndromes (test hook).
 
-    ``terminal`` optionally adds a symmetrized channel on the terminal
-    measurement, the target of terminal readout-error correction.
+    With neither, reports are the true outcomes.  ``terminal`` optionally
+    adds a symmetrized channel on the terminal measurement, the target of
+    terminal readout-error correction.  The sampler calls ``draw_syndromes``
+    per batch and ``reports`` per layer; weights and oracle read ``symmetrized``.
     """
 
     model: SyndromeModel | None = None
     matrices: list[ConfusionMatrix] | None = None
     bfa: bool = False
-    forced: list[int] | None = None
     terminal: SyndromeModel | None = None
 
     def __post_init__(self):
-        active = [x is not None for x in (self.model, self.matrices, self.forced)]
-        if sum(active) > 1:
-            raise ValueError("choose one of model / matrices / forced")
+        if self.model is not None and self.matrices is not None:
+            raise ValueError("choose one of model / matrices")
         if self.bfa and self.matrices is None:
             raise ValueError("bfa only applies to the asymmetric (matrices) mode")
 
@@ -96,10 +95,40 @@ class NoiseInjector:
             for mat, layer in zip(self.matrices, circuit.layers):
                 if mat.m_bits != layer.m:
                     raise ValueError("confusion matrix width mismatch")
-        if self.forced is not None and len(self.forced) != len(circuit.layers):
-            raise ValueError("need one forced syndrome per layer")
         if self.terminal is not None and self.terminal.m != len(setting.measured):
             raise ValueError("terminal noise width mismatch")
+
+    def symmetrized(self) -> SyndromeModel | None:
+        """The symmetrized channel of the mid-circuit reports: the model, or the
+        bit-flip-averaged confusion matrices, one part each; else None."""
+        if not self.bfa:  # bfa implies matrices, so the model or None
+            return self.model
+        parts = [GeneralModel(mat.symmetrize()) for mat in self.matrices]
+        return parts[0] if len(parts) == 1 else LayeredModel(parts)
+
+    def draw_syndromes(self, circuit: DynamicCircuit, rng, size: int) -> list | None:
+        """Per layer, the model's (largest repeat, size) syndromes, drawn
+        before the shots; None without a model."""
+        if self.model is None:
+            return None
+        repeat = max((layer.repeat for layer in circuit.layers), default=1)
+        return split_index(np.stack([self.model.sample(rng, size) for _ in range(repeat)]),
+                           circuit.layer_widths)
+
+    def reports(self, index: int, layer, true, twirl, syndromes, rng) -> np.ndarray:
+        """Layer ``index``'s (repeat, size) reports of ``true``, given the
+        batch's ``draw_syndromes`` and the X-mask ``twirl`` the state was
+        measured under (0 without BFA); later repetitions draw fresh twirls."""
+        if self.model is not None:
+            return true ^ syndromes[index][:layer.repeat]
+        if self.matrices is None:
+            return np.broadcast_to(true, (layer.repeat, true.size))
+        out = np.empty((layer.repeat, true.size), dtype=np.int64)
+        for j in range(layer.repeat):
+            if j and self.bfa:
+                twirl = rng.integers(0, 1 << layer.m, size=true.size)
+            out[j] = self.matrices[index].sample_reported(true ^ twirl, rng) ^ twirl
+        return out
 
 
 @dataclass
@@ -223,23 +252,18 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
     i's row; ``tables`` is ``_compile(circuit)``, made here if not given.
     """
     n = circuit.n
-    widths = circuit.layer_widths
-    max_rep = max((layer.repeat for layer in circuit.layers), default=1)
+    noise = NoiseInjector() if noise is None else noise
     tables = _compile(circuit) if tables is None else tables
 
     # all classical randomness that can be presampled is drawn up front in a
     # fixed order, so the draw sequence does not depend on outcomes
-    syndrome_parts = None
-    if noise is not None and noise.model is not None:
-        full_syndromes = np.stack([noise.model.sample(rng, size) for _ in range(max_rep)])
-        syndrome_parts = split_index(full_syndromes, widths)  # per layer: (max_rep, size)
-
+    syndromes = noise.draw_syndromes(circuit, rng, size)
     if weights is not None:
         masks, signs = weights.sample(rng, size)
     else:
         masks = np.zeros(size, dtype=np.int64)
         signs = np.ones(size, dtype=np.int8)
-    mask_parts = split_index(masks, widths)
+    mask_parts = split_index(masks, circuit.layer_widths)
 
     states = engine.zero_states(1, n, dtype=dtype)
     states = engine.apply_gates(states, circuit.prep, n)
@@ -253,35 +277,19 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         live = li < last or bool(setting.measured)
         states = engine.apply_gates(states, layer.pre_gates, n)
 
-        twirl = None
-        if noise is not None and noise.matrices is not None and noise.bfa:
+        twirl = 0
+        if noise.bfa:
             twirl = rng.integers(0, 1 << layer.m, size=size)
             branch, parent, row_twirl = engine.split(branch, twirl, layer.m)
             states = engine.apply_x_masks(states[parent], layer.measured, row_twirl, n)
         (slots, slices), true, branch = engine.measure(states, layer.measured, n, rng,
                                                        rows=branch, collapse=live)
-        if twirl is not None:
+        if noise.bfa:
             true = true ^ twirl
             if live:  # un-twirl: a row's slot becomes its shots' true outcome
                 slots[branch] = true
 
-        reports = np.empty((layer.repeat, size), dtype=np.int64)
-        for j in range(layer.repeat):
-            if noise is None:
-                reports[j] = true
-            elif noise.model is not None:
-                reports[j] = true ^ syndrome_parts[li][j]
-            elif noise.matrices is not None:
-                if noise.bfa:
-                    tw = twirl if j == 0 else rng.integers(0, 1 << layer.m, size=size)
-                    reports[j] = noise.matrices[li].sample_reported(true ^ tw, rng) ^ tw
-                else:
-                    reports[j] = noise.matrices[li].sample_reported(true, rng)
-            elif noise.forced is not None:
-                reports[j] = true ^ noise.forced[li]
-            else:  # terminal-only injector
-                reports[j] = true
-
+        reports = noise.reports(li, layer, true, twirl, syndromes, rng)
         consensus, layer_ok = _consensus(reports, layer)
         accepted &= layer_ok
         lookup = consensus ^ mask_parts[li]
@@ -307,7 +315,7 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         states = engine.apply_gates(states, setting.basis_gates, n)
         _, term, _ = engine.measure(states, setting.measured, n, rng, rows=branch,
                                     collapse=False)
-        if noise is not None and noise.terminal is not None:
+        if noise.terminal is not None:
             term = term ^ noise.terminal.sample(rng, size)
     else:
         term = np.zeros(size, dtype=np.int64)

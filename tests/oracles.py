@@ -337,8 +337,6 @@ def per_shot_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                                                          rng) ^ tw
                 else:
                     reports[j] = sample_reported_by_mask(noise.matrices[li], true, rng)
-            elif noise.forced is not None:
-                reports[j] = true ^ noise.forced[li]
             else:  # terminal-only injector
                 reports[j] = true
 

@@ -19,7 +19,7 @@ from promkit.simulator import NoiseInjector
 FIXED = {"h": h, "s": s, "sdg": sdg, "x": x, "z": z}
 ROTATIONS = {"rx": rx, "ry": ry, "rz": rz}
 CONSENSUS = [(1, "none"), (3, "majority"), (2, "unanimous"), (3, "unanimous")]
-NOISE_KINDS = ["none", "model", "matrices", "bfa", "forced"]
+NOISE_KINDS = ["none", "model", "matrices", "bfa", "one-hot"]
 
 
 @st.composite
@@ -110,9 +110,9 @@ def runs(draw, kinds=NOISE_KINDS, terminal=True, **circuit_args):
     elif kind in ("matrices", "bfa"):
         noise = NoiseInjector(matrices=[_confusion(rng, layer.m) for layer in circuit.layers],
                               bfa=kind == "bfa", terminal=channel)
-    elif kind == "forced":
-        noise = NoiseInjector(forced=[int(rng.integers(1 << layer.m))
-                                      for layer in circuit.layers], terminal=channel)
+    elif kind == "one-hot":  # one syndrome over all layers, the same every shot
+        noise = NoiseInjector(model=GeneralModel(np.eye(1 << m)[rng.integers(1 << m)]),
+                              terminal=channel)
     elif channel is not None:
         noise = NoiseInjector(terminal=channel)
     weights = None

@@ -6,7 +6,8 @@ import pytest
 
 from promkit import config
 from promkit.mitigation import GeneralWeights, LayeredWeights, TensoredWeights
-from promkit.readout import LayeredModel, TensoredModel, UniformModel
+from promkit.readout import (ConfusionMatrix, GeneralModel, LayeredModel, TensoredModel,
+                             UniformModel, symmetrize)
 from promkit.simulator import NoiseInjector
 
 
@@ -169,6 +170,47 @@ class TestMitigationModes:
                                     "matrices": [[[0.95, 0.15], [0.05, 0.85]]]})
         _, w = config.build_mitigation("prom-general", self.circuit, noise)
         assert w.xi == pytest.approx(1.25)
+
+
+_ONE_BIT = [[0.95, 0.15], [0.05, 0.85]]
+_TWO_BITS = [[0.95, 0.02, 0.06, 0.001],
+             [0.03, 0.93, 0.002, 0.05],
+             [0.015, 0.001, 0.91, 0.04],
+             [0.005, 0.049, 0.028, 0.909]]
+
+
+@pytest.mark.parametrize("kind", ["model", "one bfa part", "two bfa parts", "no bfa",
+                                  "terminal only", "no noise"])
+def test_symmetrized_channel_of_each_noise_kind(kind):
+    """The channel prom weights invert: the model itself, or one symmetrized
+    confusion matrix per layer (layered if there are several); without bit-flip
+    averaging or mid-circuit noise there is none, and config says so."""
+    model = TensoredModel([0.1, 0.2])
+    matrices = [ConfusionMatrix(np.array(_ONE_BIT)), ConfusionMatrix(np.array(_TWO_BITS))]
+    noise = {"model": NoiseInjector(model=model),
+             "one bfa part": NoiseInjector(matrices=matrices[:1], bfa=True),
+             "two bfa parts": NoiseInjector(matrices=matrices, bfa=True),
+             "no bfa": NoiseInjector(matrices=matrices),
+             "terminal only": NoiseInjector(terminal=model),
+             "no noise": None}[kind]
+    if kind in ("no bfa", "terminal only", "no noise"):
+        assert noise is None or noise.symmetrized() is None
+        with pytest.raises(config.ConfigError, match="bfa"):
+            config.symmetrized_model(noise)
+        with pytest.raises(config.ConfigError, match="bfa"):
+            config.build_mitigation("prom-layered", config.build_circuit("reset", {"n": 1}),
+                                    noise)
+        return
+    got = noise.symmetrized()
+    assert config.symmetrized_model(noise).expand().tobytes() == got.expand().tobytes()
+    if kind == "model":
+        assert got is model
+        return
+    parts = got.parts if kind == "two bfa parts" else [got]
+    assert isinstance(got, LayeredModel if kind == "two bfa parts" else GeneralModel)
+    assert [type(part) for part in parts] == [GeneralModel] * len(noise.matrices)
+    for part, mat in zip(parts, noise.matrices):
+        assert part.q.tobytes() == symmetrize(mat.matrix).tobytes()
 
 
 class TestCustomCircuit:

@@ -34,14 +34,19 @@ def test_noiseless_reset_is_exact():
     assert res.accepted == 4000
 
 
-def test_forced_syndrome_breaks_feedforward():
+def constant_syndrome(*q):
+    """A noise model whose syndrome is always the one-hot index ``q`` marks."""
+    return NoiseInjector(model=GeneralModel(np.array(q, dtype=np.float64)))
+
+
+def test_constant_syndrome_breaks_feedforward():
     c = reset_circuit()
-    res = run_shots(c, c.settings[0], 500, noise=NoiseInjector(forced=[1]), seed=0)
+    res = run_shots(c, c.settings[0], 500, noise=constant_syndrome(0, 1), seed=0)
     # reported bit is always wrong, so the X fires exactly when it should not
     assert estimate_observables(res)[0].estimate == 0.0
 
 
-def test_mask_cancels_forced_syndrome():
+def test_mask_cancels_constant_syndrome():
     # a mask equal to the constant syndrome undoes the lookup corruption
     class ConstantMask:
         m, xi = 1, 1.0
@@ -50,7 +55,7 @@ def test_mask_cancels_forced_syndrome():
             return np.ones(size, dtype=np.int64), np.ones(size, dtype=np.int8)
 
     c = reset_circuit()
-    res = run_shots(c, c.settings[0], 500, noise=NoiseInjector(forced=[1]),
+    res = run_shots(c, c.settings[0], 500, noise=constant_syndrome(0, 1),
                     weights=ConstantMask(), seed=0)
     assert estimate_observables(res)[0].estimate == 1.0
 
@@ -210,7 +215,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         run_shots(c, c.settings[0], 10, weights=w)
     with pytest.raises(ValueError):
-        NoiseInjector(model=UniformModel(1, 0.1), forced=[1])
+        NoiseInjector(model=UniformModel(1, 0.1),
+                      matrices=[ConfusionMatrix(np.eye(2))])
     with pytest.raises(ValueError):
         NoiseInjector(bfa=True)
 
@@ -257,7 +263,7 @@ def test_state_after_the_last_layer_is_not_evolved_unless_measured(monkeypatch):
 
 
 def test_multi_layer_mask_split():
-    # two layers, 1 bit each; forced syndrome on layer 1 only, mask on layer 0
+    # two layers, 1 bit each; constant syndrome on layer 1 only, mask on layer 1
     layer0 = FeedforwardLayer(measured=(0,), table=xor_feedback_table((0,)))
     layer1 = FeedforwardLayer(measured=(1,), table=xor_feedback_table((1,)))
     setting = TerminalSetting(name="t", measured=(0, 1),
@@ -272,7 +278,7 @@ def test_multi_layer_mask_split():
             # mask 0b01: flips only the layer-1 lookup
             return np.full(size, 0b01, dtype=np.int64), np.ones(size, dtype=np.int8)
 
-    res = run_shots(c, setting, 300, noise=NoiseInjector(forced=[0, 1]),
+    res = run_shots(c, setting, 300, noise=constant_syndrome(0, 1, 0, 0),
                     weights=FixedMask(), seed=2)
     # layer 0: clean reading, mask 0 -> reset works; layer 1: syndrome 1
     # cancelled by mask bit -> reset works as well
