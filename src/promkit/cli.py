@@ -43,7 +43,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--shots", type=int, default=None, help="override config shots")
     sub.add_argument("--trials", type=int, default=None, help="override config trials")
     sub.add_argument("--workers", type=positive_int, default=1,
-                     help="shot-batch worker processes (at least 1)")
+                     help="shot-batch worker processes (at least 1; at most the "
+                          "usable CPU count)")
 
 
 def _load(args: argparse.Namespace) -> configmod.RunPlan:

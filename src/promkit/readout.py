@@ -217,6 +217,7 @@ class UniformModel(TensoredModel):
     def __init__(self, m: int, rate: float):
         if m < 1:
             raise ValueError("m must be positive")
+        check_size((m - 1).bit_length(), "uniform noise rates")
         super().__init__([float(rate)] * m)
 
 

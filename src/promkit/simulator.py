@@ -3,8 +3,10 @@
 Readout errors corrupt only the classical record: the statevector collapses
 on the *true* outcome, while the reported outcome (true XOR syndrome, or a
 confusion-matrix sample under the asymmetric model) drives the feedforward
-lookup.  Mitigation masks are XORed onto the reported outcome before the
-lookup, and each shot carries the sign of its mask's quasiprobability weight.
+lookup.  ``NoiseInjector`` maps the kind of noise to the reports a layer
+draws and to the symmetrized channel that mitigation weights invert.
+Mitigation masks are XORed onto the reported outcome before the lookup, and
+each shot carries the sign of its mask's quasiprobability weight.
 
 Shots run in fixed-size batches; batch b of trial t draws all randomness from
 an independent stream keyed by (seed, t, b), and a run's counts are integer
@@ -12,10 +14,11 @@ sums over its batches, so results are bit-identical for a given (config, seed)
 no matter how batches are scheduled across workers.  ``run_settings`` takes
 every (setting, shots, trial) job of a run in one call.  With one worker its
 batches run in this process, in order.  With ``workers`` > 1 it forks
-``workers`` - 1 processes once per call, which inherit the circuit, noise and
-weights instead of receiving them pickled; this process runs its own share of
-the batches while they run theirs, and they send back only counts.  Batches
-are generated lazily, with a few per child in flight.  Where the ``fork``
+``workers`` - 1 processes once per call (at most one fewer than the usable
+CPUs), which inherit the circuit, noise and weights instead of receiving them
+pickled; this process runs its own share of the batches while they run
+theirs, and they send back only counts.  Batches are generated lazily, with a
+few per child in flight.  Where the ``fork``
 start method does not exist, every batch runs in this process.
 
 Within a batch the statevector is evolved once per distinct state, not once
@@ -33,13 +36,14 @@ of a one-row-per-shot simulation, so the records are that simulation's.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import engine
-from .bits import split_index, stream
+from .bits import check_size, split_index, stream
 from .circuits import DynamicCircuit, TerminalSetting
 from .mitigation import EstimatorAccumulator, MitigationWeights, terminal_rem
 from .readout import ConfusionMatrix, GeneralModel, LayeredModel, SyndromeModel
@@ -426,9 +430,9 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
                  seed: int = 0, workers: int = 1) -> list[RunResult]:
     """Run every ``(setting, shots, trial)`` job; one aggregated result per job.
 
-    With ``workers`` > 1, up to ``workers`` - 1 forked processes share the
-    batches with this one (see the module docstring); the results do not
-    depend on ``workers``.
+    With ``workers`` > 1, up to ``workers`` - 1 forked processes, and no more
+    than the usable CPUs less one, share the batches with this one (see the
+    module docstring); the results do not depend on ``workers``.
     """
     jobs = tuple(jobs)
     for setting, shots, _ in jobs:
@@ -442,13 +446,19 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
                tuple(_pick_dtype(circuit, setting) for setting, _, _ in jobs), _compile(circuit))
 
     batch = batch_size_for(circuit.n)
+    # each QND repetition holds a batch of reports, and of model syndromes
+    repeat = max((layer.repeat for layer in circuit.layers), default=1)
+    if repeat > 1:
+        check_size((repeat * batch - 1).bit_length(), "QND repetitions x batch")
     results: list[RunResult | None] = [None] * len(jobs)
 
     def add(j: int, part: RunResult) -> None:
         results[j] = part if results[j] is None else results[j].merge(part)
 
     tasks = _batches(jobs, batch)
-    children = min(workers, sum(-(-shots // batch) for _, shots, _ in jobs)) - 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    children = min(workers, cpus, sum(-(-shots // batch) for _, shots, _ in jobs)) - 1
     if children > 0 and "fork" in multiprocessing.get_all_start_methods():
         _run_forked(run, tasks, children, add)
     else:

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from promkit import cli, config, oracle
+from promkit import cli, config, oracle, simulator
 from promkit.mitigation import GeneralWeights
 from promkit.readout import ConfusionMatrix
 
@@ -291,6 +292,59 @@ def test_size_cap_trials_times_settings_exits_3(tmp_path, capsys, monkeypatch):
     assert "trials x settings needs 2**4" in capsys.readouterr().err
     cfg = reset_config(tmp_path, shots=10, trials=8)
     assert cli.main(["run", "--config", cfg]) == 0
+
+
+def rep_layer_circuit(tmp_path, repeat):
+    """The reset circuit from a file, its layer read out ``repeat`` times."""
+    return write(tmp_path, "rep.json", {
+        "n": 1, "prep": [["h", 0]],
+        "layers": [{"measured": [0], "table": [[], [["x", 0]]], "repeat": repeat,
+                    "consensus": "majority"}],
+        "settings": [{"name": "z", "measured": [0],
+                      "observables": [{"name": "z", "pauli": "Z"}]}]})
+
+
+@pytest.mark.parametrize("source", ["rep mitigation", "circuit file"])
+def test_size_cap_qnd_repetitions_exit_3(tmp_path, capsys, monkeypatch, source):
+    # each repetition holds a 16384-shot batch of reports: 201 of them need
+    # 2**22 entries, past the default cap of 2**20, whatever the shot count
+    calls = []
+    monkeypatch.setattr(simulator, "_run_batch", lambda *args, **kw: calls.append(args))
+    if source == "rep mitigation":
+        rep = {"mode": "rep", "repeat": 201, "consensus": "majority"}
+        cfg = reset_config(tmp_path, shots=10, mitigation=rep)
+    else:
+        cfg = write(tmp_path, "cfg.json", {
+            "experiment": "custom", "parameters": {"path": rep_layer_circuit(tmp_path, 201)},
+            "shots": 10})
+    assert cli.main(["run", "--config", cfg]) == 3
+    assert "error: size cap: QND repetitions x batch needs 2**22" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("repeat, code", [(3, 0), (5, 3)])
+def test_size_cap_qnd_repetitions_boundary(tmp_path, capsys, monkeypatch, repeat, code):
+    # 2**16 entries hold 3 repetitions of a 16384-shot batch, not 5
+    monkeypatch.setenv("PROMKIT_SIZE_CAP", "16")
+    rep = {"mode": "rep", "repeat": repeat, "consensus": "majority"}
+    assert cli.main(["run", "--config", reset_config(tmp_path, shots=10, mitigation=rep)]) == code
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "calibrate", "bench", "weights"])
+def test_size_cap_uniform_noise_width_exits_3(tmp_path, capsys, command):
+    # 10**7 rates would take hundreds of MB to build; the cap refuses them first
+    noise = {"kind": "uniform", "m": 10 ** 7, "rate": 0.01}
+    cfg = (write(tmp_path, "noise.json", noise) if command == "weights" else
+           reset_config(tmp_path, shots=10, noise=noise, mitigation="none"))
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "uniform noise rates needs 2**24" in capsys.readouterr().err
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("experiment, parameters, message", [

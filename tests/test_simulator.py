@@ -409,8 +409,10 @@ def result_bytes(result) -> tuple:
 
 
 @pytest.mark.parametrize("workers", [2, 3, 9])
-def test_worker_processes_give_the_serial_records(workers):
-    # 3 + 2 batches: workers=9 asks for more processes than there are batches
+def test_worker_processes_give_the_serial_records(monkeypatch, workers):
+    # 3 + 2 batches: workers=9 asks for more processes than there are batches;
+    # eight CPUs, so the CPU cap does not lower the count on a smaller machine
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(8)))
     c, jobs, kw = two_setting_run()
     one = run_settings(c, jobs, workers=1, **kw)
     many = run_settings(c, jobs, workers=workers, **kw)
@@ -448,6 +450,28 @@ def test_without_fork_workers_run_in_process(monkeypatch):
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
     assert (list(map(result_bytes, run_settings(c, jobs, workers=2, **kw)))
             == list(map(result_bytes, one)))
+
+
+@pytest.mark.parametrize("cpus, children", [(1, []), (2, [1]), (3, [2])])
+def test_worker_count_capped_at_usable_cpus(monkeypatch, cpus, children):
+    # 4000 workers on a 4-batch run: the pool gets one process fewer than the
+    # usable CPUs (this process runs batches too), and none with one CPU
+    sizes = []
+
+    def pool_spy(run, tasks, size, add):  # records the pool size, forks nothing
+        sizes.append(size)
+        for j, b, shots in tasks:
+            add(j, run.batch(j, b, shots))
+
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(simulator, "_run_forked", pool_spy)
+    c = reset_circuit()
+    shots = 4 * batch_size_for(c.n)
+    one = run_shots(c, c.settings[0], shots, seed=4)
+    capped = run_shots(c, c.settings[0], shots, seed=4, workers=4000)
+    assert sizes == children
+    assert result_bytes(capped) == result_bytes(one)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_settings_checks_every_job_first():
