@@ -18,8 +18,8 @@ batches run in this process, in order.  With ``workers`` > 1 it forks
 CPUs), which inherit the circuit, noise and weights instead of receiving them
 pickled; this process runs its own share of the batches while they run
 theirs, and they send back only counts.  Batches are generated lazily, with a
-few per child in flight.  Where the ``fork``
-start method does not exist, every batch runs in this process.
+few per child in flight.  Where the ``fork`` start method does not exist,
+every batch runs in this process.
 
 Within a batch the statevector is evolved once per distinct state, not once
 per shot.  Rows split after each twirl, each mid-circuit measurement and
@@ -59,7 +59,7 @@ def batch_size_for(n: int) -> int:
 
 @dataclass
 class NoiseInjector:
-    """The injected readout errors, and the only code that reads their kind.
+    """Configuration of the injected readout errors.
 
     At most one of the two mid-circuit mechanisms may be active:
 

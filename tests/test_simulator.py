@@ -39,14 +39,14 @@ def constant_syndrome(*q):
     return NoiseInjector(model=GeneralModel(np.array(q, dtype=np.float64)))
 
 
-def test_constant_syndrome_breaks_feedforward():
+def test_forced_syndrome_breaks_feedforward():
     c = reset_circuit()
     res = run_shots(c, c.settings[0], 500, noise=constant_syndrome(0, 1), seed=0)
     # reported bit is always wrong, so the X fires exactly when it should not
     assert estimate_observables(res)[0].estimate == 0.0
 
 
-def test_mask_cancels_constant_syndrome():
+def test_mask_cancels_forced_syndrome():
     # a mask equal to the constant syndrome undoes the lookup corruption
     class ConstantMask:
         m, xi = 1, 1.0
@@ -215,8 +215,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         run_shots(c, c.settings[0], 10, weights=w)
     with pytest.raises(ValueError):
-        NoiseInjector(model=UniformModel(1, 0.1),
-                      matrices=[ConfusionMatrix(np.eye(2))])
+        NoiseInjector(model=UniformModel(1, 0.1), matrices=[ConfusionMatrix(np.eye(2))])
     with pytest.raises(ValueError):
         NoiseInjector(bfa=True)
 
@@ -412,7 +411,8 @@ def result_bytes(result) -> tuple:
 def test_worker_processes_give_the_serial_records(monkeypatch, workers):
     # 3 + 2 batches: workers=9 asks for more processes than there are batches;
     # eight CPUs, so the CPU cap does not lower the count on a smaller machine
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     c, jobs, kw = two_setting_run()
     one = run_settings(c, jobs, workers=1, **kw)
     many = run_settings(c, jobs, workers=workers, **kw)
@@ -425,6 +425,8 @@ def test_worker_processes_give_the_serial_records(monkeypatch, workers):
 
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_batch_error_reraises_and_leaves_no_process(monkeypatch, where):
+    # two CPUs, so that a child is forked on a one-CPU machine too
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     c, jobs, kw = two_setting_run()
     parent, real = os.getpid(), simulator._run_batch
 
@@ -463,7 +465,8 @@ def test_worker_count_capped_at_usable_cpus(monkeypatch, cpus, children):
         for j, b, shots in tasks:
             add(j, run.batch(j, b, shots))
 
-    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     monkeypatch.setattr(simulator, "_run_forked", pool_spy)
     c = reset_circuit()
     shots = 4 * batch_size_for(c.n)
