@@ -15,7 +15,7 @@ from .bits import SizeCapError, fwht, size_cap
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, Observable,
                        PauliString, TerminalSetting, ZeroProjector, cx, h, rx,
                        ry, rz, s, sdg, x, xor_feedback_table, y, z)
-from .config import ConfigError, load_config, run_config
+from .config import ConfigError, run_config
 from .experiments import (apply_rep_strategy, build_calibration_circuit,
                           build_ghz_circuit, build_reset_circuit,
                           build_teleport_circuit, build_unitary_ghz,
@@ -46,7 +46,7 @@ __all__ = [
     "TerminalSetting", "ZeroProjector", "cx", "h", "rx", "ry", "rz", "s",
     "sdg", "x", "xor_feedback_table", "y", "z",
     # config
-    "ConfigError", "load_config", "run_config",
+    "ConfigError", "run_config",
     # experiments
     "apply_rep_strategy", "build_calibration_circuit", "build_ghz_circuit",
     "build_reset_circuit", "build_teleport_circuit", "build_unitary_ghz",

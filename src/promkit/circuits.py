@@ -300,6 +300,10 @@ class TerminalSetting:
         return [(name, obs.values_on_outcomes(self.measured)) for name, obs in self.observables]
 
 
+# every packed syndrome, report and mask stays a non-negative int64
+MAX_MID_BITS = 63
+
+
 @dataclass
 class DynamicCircuit:
     """``aggregate`` optionally names a quantity derived from every setting:
@@ -328,6 +332,10 @@ class DynamicCircuit:
                     if not 0 <= q < self.n:
                         raise ValueError(f"{kind} {i} measures qubit {q} "
                                          f"outside 0..{self.n - 1}")
+        if self.m > MAX_MID_BITS:
+            raise ValueError(f"circuit has {self.m} mid-circuit bits; at most "
+                             f"{MAX_MID_BITS} fit the int64 that syndromes and masks "
+                             "pack into")
 
     def _structural_gates(self):
         yield from self.prep

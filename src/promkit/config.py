@@ -50,7 +50,7 @@ def read_json(path, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -62,10 +62,6 @@ def _known(obj, keys, what: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return obj
-
-
-def load_config(path: str) -> dict:
-    return validate_config(read_json(path, "config"))
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,17 @@ def run_ghz_fidelity(circuit: DynamicCircuit, shots_per_setting: int, *,
 # ---------------------------------------------------------------------------
 # staged teleportation
 
+def _xyz_settings(qubit: int) -> tuple[TerminalSetting, ...]:
+    """Settings "x", "y" and "z", each reading its Pauli on ``qubit``."""
+    settings = []
+    for label in ("X", "Y", "Z"):
+        ob = PauliString(label, (qubit,))
+        settings.append(TerminalSetting(name=label.lower(), measured=(qubit,),
+                                        observables=((label, ob),),
+                                        basis_gates=ob.basis_gates()))
+    return tuple(settings)
+
+
 def build_teleport_circuit(k: int, phi_x: float = math.pi / 8,
                            phi_z: float = 3 * math.pi / 8) -> DynamicCircuit:
     """Teleport an input state through k successive measurement stages.
@@ -230,14 +241,8 @@ def build_teleport_circuit(k: int, phi_x: float = math.pi / 8,
         layers.append(FeedforwardLayer(measured=(src, mid), table=tuple(table),
                                        pre_gates=(cx(src, mid), h(src))))
 
-    settings = []
-    for label in ("X", "Y", "Z"):
-        ob = PauliString(label, (n - 1,))
-        settings.append(TerminalSetting(name=label.lower(), measured=(n - 1,),
-                                        observables=((label, ob),),
-                                        basis_gates=ob.basis_gates()))
     return DynamicCircuit(n=n, prep=tuple(prep), layers=tuple(layers),
-                          settings=tuple(settings))
+                          settings=_xyz_settings(n - 1))
 
 
 def build_unitary_transport(k: int, phi_x: float = math.pi / 8,
@@ -247,13 +252,7 @@ def build_unitary_transport(k: int, phi_x: float = math.pi / 8,
     prep: list[Gate] = [rx(2 * phi_x, 0), rz(2 * phi_z, 0)]
     for q in range(n - 1):
         prep.extend((cx(q, q + 1), cx(q + 1, q), cx(q, q + 1)))
-    settings = []
-    for label in ("X", "Y", "Z"):
-        ob = PauliString(label, (n - 1,))
-        settings.append(TerminalSetting(name=label.lower(), measured=(n - 1,),
-                                        observables=((label, ob),),
-                                        basis_gates=ob.basis_gates()))
-    return DynamicCircuit(n=n, prep=tuple(prep), settings=tuple(settings))
+    return DynamicCircuit(n=n, prep=tuple(prep), settings=_xyz_settings(n - 1))
 
 
 # ---------------------------------------------------------------------------

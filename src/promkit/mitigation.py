@@ -11,6 +11,9 @@ without ever expanding 2**m entries.  Shots are run with a random mask f
 drawn from |alpha| / xi (xi = ||alpha||_1) XORed onto the reported outcomes;
 the signed, xi-scaled sample mean is an unbiased estimator of the
 noiseless expectation at a sampling-overhead cost of xi**2 in variance.
+The mask distribution |alpha| / xi has the structure of the channel it
+inverts, so weights draw masks through a ``readout`` syndrome model of the
+same structure (tensored, layered or general) and add only a sign rule.
 """
 from __future__ import annotations
 
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import (AliasSampler, check_size, fwht, num_bits, parity,
-                   sample_independent_bits)
+from .bits import fwht, num_bits, parity, split_index
 from .readout import GeneralModel, LayeredModel, SyndromeModel, TensoredModel
 
 SINGULAR_ATOL = 1e-12
@@ -31,28 +33,39 @@ class SingularChannelError(Exception):
 
 
 class MitigationWeights:
-    """Base interface: sampling overhead ``xi`` plus mask sampling."""
+    """Sampling overhead ``xi`` and a sign rule on top of ``masks``, the
+    syndrome model of the mask distribution |alpha| / xi: a mask's weight
+    is alpha[f] = xi * signs(f) * P(f)."""
 
     m: int
     xi: float
+    masks: SyndromeModel
+
+    def signs(self, f: np.ndarray) -> np.ndarray:
+        """Signs of alpha at mask indices ``f``, int8 in {-1, +1}."""
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``size`` masks; returns (mask indices, signs in {-1, +1})."""
-        raise NotImplementedError
+        f = self.masks.sample(rng, size)
+        return f, self.signs(f)
 
     def alpha(self) -> np.ndarray:
         """Materialize the full weight vector (subject to the size cap)."""
-        raise NotImplementedError
+        p = self.masks.expand()
+        return self.xi * self.signs(np.arange(p.size)) * p
 
 
-def _solve_alpha(q: np.ndarray) -> np.ndarray:
+def _invert(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q^{-1} v for the XOR-circulant Q[s, f] = q[s ^ f], refusing a
+    vanishing eigenvalue of Q."""
     lam = fwht(q)
     bad = np.abs(lam) < SINGULAR_ATOL
     if np.any(bad):
         raise SingularChannelError(
             f"channel eigenvalue(s) {np.flatnonzero(bad).tolist()} vanish; "
             "the readout channel is not invertible")
-    return fwht(1.0 / lam) / q.size
+    return fwht(fwht(v) / lam) / q.size
 
 
 class GeneralWeights(MitigationWeights):
@@ -61,14 +74,15 @@ class GeneralWeights(MitigationWeights):
     def __init__(self, q):
         self.q = np.asarray(q, dtype=np.float64)
         self.m = num_bits(self.q.size)
-        self._alpha = _solve_alpha(self.q)
+        e0 = np.zeros(self.q.size)
+        e0[0] = 1.0
+        self._alpha = _invert(self.q, e0)
         self.xi = float(np.abs(self._alpha).sum())
         self._signs = np.where(self._alpha < 0, -1, 1).astype(np.int8)
-        self._sampler = AliasSampler(np.abs(self._alpha) / self.xi)
+        self.masks = GeneralModel(np.abs(self._alpha) / self.xi)
 
-    def sample(self, rng, size):
-        f = self._sampler.draw(rng, size=size)
-        return f, self._signs[f]
+    def signs(self, f):
+        return self._signs[f]
 
     def alpha(self):
         return self._alpha.copy()
@@ -78,9 +92,10 @@ class TensoredWeights(MitigationWeights):
     """Per-bit closed form: alpha_bit = [1-r, -r] / (1-2r); O(m) everything.
 
     |1-r| + |r| = 1 on [0, 1], so each bit's xi factor is 1/|1-2r| and its
-    mask bit flips with probability r.  A flip carries a negative weight
-    when r < 1/2, a non-flip when r > 1/2, so a mask's sign is the parity
-    of its flips, inverted when an odd number of rates exceed 1/2.
+    mask bit flips with probability r: the masks are ``TensoredModel(rates)``.
+    A flip carries a negative weight when r < 1/2, a non-flip when r > 1/2,
+    so a mask's sign is the parity of its flips, inverted when an odd number
+    of rates exceed 1/2.
     """
 
     def __init__(self, rates):
@@ -92,6 +107,7 @@ class TensoredWeights(MitigationWeights):
             raise SingularChannelError("a per-bit flip rate of 1/2 is not invertible")
         self.xi = math.prod(1.0 / abs(d) for d in denoms)
         self._odd_high = sum(d < 0 for d in denoms) % 2
+        self.masks = TensoredModel(self.rates)
 
     @property
     def alpha_bits(self) -> np.ndarray:
@@ -99,16 +115,8 @@ class TensoredWeights(MitigationWeights):
         r = self.rates
         return np.stack([(1.0 - r) / (1.0 - 2.0 * r), -r / (1.0 - 2.0 * r)], axis=1)
 
-    def sample(self, rng, size):
-        f = sample_independent_bits(rng, self.rates, size)
-        return f, np.where(parity(f) ^ self._odd_high, -1, 1).astype(np.int8)
-
-    def alpha(self):
-        check_size(self.m, "expanded tensored weights")
-        a = np.array([1.0])
-        for bit in self.alpha_bits:
-            a = np.kron(a, bit)
-        return a
+    def signs(self, f):
+        return np.where(parity(f) ^ self._odd_high, -1, 1).astype(np.int8)
 
 
 class UniformWeights(TensoredWeights):
@@ -119,30 +127,21 @@ class UniformWeights(TensoredWeights):
 
 
 class LayeredWeights(MitigationWeights):
-    """Per-layer factors; the joint weight vector is their Kronecker product."""
+    """Per-layer factors; the joint weight vector is their Kronecker product,
+    so the masks are a ``LayeredModel`` of the parts' masks and a mask's sign
+    is the product of its parts' signs."""
 
     def __init__(self, parts: list[MitigationWeights]):
-        if not parts:
-            raise ValueError("layered weights need at least one part")
         self.parts = parts
-        self.m = sum(p.m for p in parts)
+        self.masks = LayeredModel([p.masks for p in parts])
+        self.m = self.masks.m
         self.xi = float(np.prod([p.xi for p in parts]))
 
-    def sample(self, rng, size):
-        f = np.zeros(size, dtype=np.int64)
-        signs = np.ones(size, dtype=np.int8)
-        for p in self.parts:
-            fp, sp = p.sample(rng, size)
-            f = (f << p.m) | fp
-            signs = signs * sp
-        return f, signs
-
-    def alpha(self):
-        check_size(self.m, "expanded layered weights")
-        a = np.array([1.0])
-        for p in self.parts:
-            a = np.kron(a, p.alpha())
-        return a
+    def signs(self, f):
+        out = np.ones(f.shape, dtype=np.int8)
+        for p, fp in zip(self.parts, split_index(f, [p.m for p in self.parts])):
+            out *= p.signs(fp)
+        return out
 
 
 def solve_weights(model) -> MitigationWeights:
@@ -283,8 +282,5 @@ def terminal_rem(counts, q, project: bool = True) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if c.shape != q.shape:
         raise ValueError("counts and q must have equal length")
-    lam = fwht(q)
-    if np.any(np.abs(lam) < SINGULAR_ATOL):
-        raise SingularChannelError("terminal channel is not invertible")
-    corrected = fwht(fwht(c) / lam) / c.size
+    corrected = _invert(q, c)
     return project_nonnegative(corrected) if project else corrected

@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from promkit import engine
-from promkit.bits import index_to_bits, split_index, stream
+from promkit.bits import (AliasSampler, fwht, index_to_bits, parity,
+                          sample_independent_bits, split_index, stream)
+from promkit.mitigation import GeneralWeights, LayeredWeights, TensoredWeights
 from promkit.simulator import RunResult, ShotRecord, _pick_dtype, batch_size_for
 
 I2 = np.eye(2)
@@ -52,6 +54,42 @@ def alpha_by_linear_solve(q):
     e0 = np.zeros(n)
     e0[0] = 1.0
     return np.linalg.solve(Q, e0)
+
+
+def weights_sample_by_kind(weights, rng, size):
+    """``MitigationWeights.sample`` written per weights class: an alias table
+    of its own for general weights, independent bits at the flip rates for
+    tensored ones, and the parts drawn in order and packed for layered ones.
+    Returns (masks, int8 signs)."""
+    if isinstance(weights, LayeredWeights):
+        f = np.zeros(size, dtype=np.int64)
+        signs = np.ones(size, dtype=np.int8)
+        for part in weights.parts:
+            fp, sp = weights_sample_by_kind(part, rng, size)
+            f = (f << part.m) | fp
+            signs = signs * sp
+        return f, signs
+    if isinstance(weights, TensoredWeights):
+        f = sample_independent_bits(rng, weights.rates, size)
+        odd_high = int(np.sum(1.0 - 2.0 * weights.rates < 0)) % 2
+        return f, np.where(parity(f) ^ odd_high, -1, 1).astype(np.int8)
+    alpha = weights_alpha_by_kind(weights)
+    f = AliasSampler(np.abs(alpha) / weights.xi).draw(rng, size=size)
+    return f, np.where(alpha < 0, -1, 1).astype(np.int8)[f]
+
+
+def weights_alpha_by_kind(weights):
+    """``MitigationWeights.alpha`` written per weights class: the Walsh
+    division for general weights, and Kronecker products of the per-bit
+    closed forms or of the parts' vectors for tensored and layered ones."""
+    if isinstance(weights, GeneralWeights):
+        return fwht(1.0 / fwht(weights.q)) / weights.q.size
+    factors = (weights.alpha_bits if isinstance(weights, TensoredWeights)
+               else [weights_alpha_by_kind(part) for part in weights.parts])
+    a = np.array([1.0])
+    for factor in factors:
+        a = np.kron(a, factor)
+    return a
 
 
 def masked_by_gather(tensor, b, f, q):

@@ -102,6 +102,39 @@ def test_singular_channel_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg]) == 2
 
 
+def test_singular_terminal_channel_exits_2(tmp_path, capsys):
+    """terminal_rem inverts the terminal channel; at rate 1/2 that channel
+    has no inverse."""
+    cfg = reset_config(tmp_path, shots=100, terminal_rem=True,
+                       noise={"kind": "uniform", "m": 1, "rate": 0.1,
+                              "terminal": {"kind": "uniform", "m": 3, "rate": 0.5}})
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: singular channel:")
+
+
+@pytest.mark.parametrize("command", ["run", "weights"])
+def test_deeply_nested_config_exits_1(tmp_path, capsys, command):
+    """JSON nested past the parser's recursion limit is an unreadable file."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("m, code", [(63, 0), (64, 1)])
+def test_mid_circuit_bits_bounded_by_int64(tmp_path, capsys, m, code):
+    """Syndromes and masks pack all mid-circuit bits into one int64: 63
+    one-bit reset layers run, a 64th is refused."""
+    layer = {"measured": [0], "table": [[], [["x", 0]]]}
+    cfg = dict(custom_config(tmp_path, {**ONE_LAYER, "layers": [layer] * m}),
+               noise={"kind": "uniform", "m": m, "rate": 0.1}, mitigation="prom-tensored")
+    assert cli.main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == code
+    err = capsys.readouterr().err
+    assert (err == "") if code == 0 else ("64 mid-circuit bits" in err)
+
+
 def test_size_cap_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROMKIT_SIZE_CAP", "2")
     cfg = write(tmp_path, "cfg.json", {

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alpha_by_linear_solve, project_by_waterfill, random_distribution
+from oracles import (alpha_by_linear_solve, project_by_waterfill, random_distribution,
+                     weights_alpha_by_kind, weights_sample_by_kind)
 from promkit import mitigation, readout
 
 
@@ -105,6 +106,37 @@ def test_structured_sampling_matches_alpha():
     freq = np.bincount(masks, minlength=4) / masks.size
     assert np.abs(freq - np.abs(alpha) / w.xi).max() < 5e-3
     assert np.array_equal(signs, np.where(alpha[masks] < 0, -1, 1))
+
+
+def _weights_of_every_kind():
+    rng = np.random.default_rng(17)
+    general = mitigation.GeneralWeights(random_distribution(rng, 8))
+    tensored = mitigation.TensoredWeights([0.1, 0.6, 0.02])  # one rate above 1/2
+    return {"general": general, "tensored": tensored,
+            "layered": mitigation.LayeredWeights([general, tensored]),
+            "nested": mitigation.LayeredWeights(
+                [tensored, mitigation.LayeredWeights([general, tensored])])}
+
+
+@pytest.mark.parametrize("kind", ["general", "tensored", "layered", "nested"])
+def test_masks_and_signs_match_per_kind_reference(kind):
+    """Weights draw masks through the syndrome model of their masks; on a
+    shared stream that gives the masks and int8 signs that each weights
+    class drew on its own, and the same weight vector."""
+    w = _weights_of_every_kind()[kind]
+    masks, signs = w.sample(np.random.default_rng(8), 5000)
+    ref_masks, ref_signs = weights_sample_by_kind(w, np.random.default_rng(8), 5000)
+    assert masks.dtype == ref_masks.dtype and signs.dtype == ref_signs.dtype == np.int8
+    assert masks.tobytes() == ref_masks.tobytes()
+    assert signs.tobytes() == ref_signs.tobytes()
+    assert np.abs(w.alpha() - weights_alpha_by_kind(w)).max() < 1e-12
+
+
+def test_general_alpha_is_the_solved_vector():
+    """``GeneralWeights.alpha`` is the Walsh-division vector itself, bit for
+    bit, not xi * signs * |alpha| / xi rebuilt from its masks."""
+    w = _weights_of_every_kind()["general"]
+    assert w.alpha().tobytes() == weights_alpha_by_kind(w).tobytes()
 
 
 def test_tensored_closed_forms():
