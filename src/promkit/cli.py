@@ -174,7 +174,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     modes_out, rows = [], []
     for label, mitigation in _BENCH_MODES:
         sub = dataclasses.replace(plan, cfg=dict(cfg, mitigation=mitigation, out=None))
-        payload = configmod.run_plan(sub, workers=args.workers)
+        try:
+            payload = configmod.run_plan(sub, workers=args.workers)
+        except configmod.ConfigError as exc:
+            raise configmod.ConfigError(f"mode '{label}': {exc}") from exc
         record = payload["record"]
         for row in configmod.record_rows(record):
             rows.append(dict(row, observable=f"{label}:{row['observable']}"))

@@ -14,12 +14,14 @@ sums over its batches, so results are bit-identical for a given (config, seed)
 no matter how batches are scheduled across workers.  ``run_settings`` takes
 every (setting, shots, trial) job of a run in one call.  With one worker its
 batches run in this process, in order.  With ``workers`` > 1 it forks
-``workers`` - 1 processes once per call (at most one fewer than the usable
+``workers`` - 1 children once per call (at most one fewer than the usable
 CPUs), which inherit the circuit, noise and weights instead of receiving them
-pickled; this process runs its own share of the batches while they run
-theirs, and they send back only counts.  Batches are generated lazily, with a
-few per child in flight.  Where the ``fork`` start method does not exist,
-every batch runs in this process.
+pickled.  Every process, this one included, walks the same lazily generated
+batches and runs those whose positions it claims from one shared counter, so
+a process that runs slower takes fewer.  Each child sends back its summed
+counts once and exits; every child is reaped before the call returns or
+raises.  Where the ``fork`` start method does not exist, every batch runs in
+this process.
 
 Within a batch the statevector is evolved once per distinct state, not once
 per shot.  Rows split after each twirl, each mid-circuit measurement and
@@ -38,7 +40,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, wait
+import pickle
+import signal
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -378,21 +382,6 @@ class _Run:
                           stream(self.seed, trial, b), self.dtypes[j], tables=self.tables)
 
 
-# the run of a forked child, set by _init_child in the child only
-_child_run: _Run | None = None
-
-
-def _init_child(run: _Run) -> None:
-    global _child_run
-    _child_run = run
-
-
-def _child_batch(j: int, b: int, size: int) -> tuple[int, RunResult]:
-    result = _child_run.batch(j, b, size)
-    result.setting = None  # the parent has it; only counts go back
-    return j, result
-
-
 def _batches(jobs, batch: int):
     """(job, batch index, shots) of every batch of every job, lazily."""
     for j, (_, shots, _) in enumerate(jobs):
@@ -400,29 +389,103 @@ def _batches(jobs, batch: int):
             yield j, b, min(batch, shots - start)
 
 
+def _claim(counter: int) -> int:
+    """The next unclaimed batch position, kept in the file ``counter``, under a
+    record lock that the kernel drops if its holder dies mid-claim."""
+    os.lockf(counter, os.F_LOCK, 0)
+    try:
+        index = int.from_bytes(os.pread(counter, 8, 0), "little")
+        os.pwrite(counter, (index + 1).to_bytes(8, "little"), 0)
+    finally:
+        os.lockf(counter, os.F_ULOCK, 0)
+    return index
+
+
+def _share(run: _Run, tasks, counter: int) -> dict[int, RunResult]:
+    """Per job, the sum of the batches of ``tasks`` this process claims."""
+    parts: dict[int, RunResult] = {}
+    mine = _claim(counter)
+    for i, (j, b, size) in enumerate(tasks):
+        if i == mine:
+            result = run.batch(j, b, size)
+            parts[j] = parts[j].merge(result) if j in parts else result
+            mine = _claim(counter)
+    return parts
+
+
+def _child(run: _Run, tasks, counter: int, pipe: int) -> None:
+    """A forked child's whole life: its share, pickled into ``pipe`` as
+    ``{job: result}`` with no setting, or as the exception that stopped it.
+    It never returns into the caller's code and never flushes inherited stdio."""
+    status = 1
+    try:
+        try:
+            payload = {j: replace(result, setting=None)
+                       for j, result in _share(run, tasks, counter).items()}
+        except BaseException as exc:  # re-raised in the parent
+            payload = exc
+        try:
+            data = pickle.dumps(payload)
+            if isinstance(payload, BaseException):
+                pickle.loads(data)  # an exception the parent cannot rebuild goes as its repr
+        except Exception:
+            data = pickle.dumps(RuntimeError(repr(payload)))
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _run_forked(run: _Run, tasks, children: int, add) -> None:
     """Run ``tasks`` across ``children`` forked processes and this one.
 
-    Each child keeps about two batches in flight; this process runs the next
-    batch itself whenever they have enough, and hands ``add`` every result.
+    Every process walks its own copy of the lazy ``tasks`` and runs the
+    positions it claims from one counter in an unlinked temporary file, so a
+    slower process takes fewer batches.  Each child sends its per-job sums
+    once, through its own pipe; this process hands ``add`` its own sums, then
+    theirs.  Every child is reaped before this returns or raises: on an error
+    or interrupt here, the children are killed first.  A child's exception is
+    re-raised here, and a child that exits without its counts raises
+    RuntimeError naming its exit code or signal; no partial counts return.
     """
-    pool = ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_child, initargs=(run,))
-    pending = set()
-    try:
-        for j, b, size in tasks:
-            if len(pending) < 2 * children:
-                pending.add(pool.submit(_child_batch, j, b, size))
-                continue
-            add(j, run.batch(j, b, size))
-            done = {future for future in pending if future.done()}
-            pending -= done
-            for future in done:
-                add(*future.result())
-        for future in wait(pending).done:
-            add(*future.result())
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    pids, pipes = [], []
+    with tempfile.TemporaryFile(buffering=0) as counter:
+        try:
+            for _ in range(children):
+                read, write = os.pipe()
+                pipes.append(read)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(run, tasks, counter.fileno(), write)
+                    pids.append(pid)
+                finally:
+                    os.close(write)
+            shares = [_share(run, tasks, counter.fileno())]
+            payloads = []
+            for read in pipes:
+                with open(read, "rb", closefd=False) as fh:
+                    payloads.append(fh.read())
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+            for read in pipes:
+                os.close(read)
+    for pid, payload, status in zip(pids, payloads, statuses):
+        if status != 0 or not payload:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"worker process {pid} ended without its counts ("
+                               + (f"exit code {code})" if code >= 0 else f"signal {-code})"))
+    shares += map(pickle.loads, payloads)
+    for parts in shares:
+        if isinstance(parts, BaseException):
+            raise parts
+        for j, result in parts.items():
+            add(j, result)
 
 
 def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,

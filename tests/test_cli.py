@@ -234,20 +234,22 @@ def test_calibrate_drops_the_terminal_channel(tmp_path, capsys):
     assert q_hats[0] == q_hats[1]
 
 
-@pytest.mark.parametrize("command, cfg, setting", [
+@pytest.mark.parametrize("command, cfg, where", [
     ("run", {"experiment": "reset", "shots": 1, "seed": 2,
              "noise": {"kind": "uniform", "m": 1, "rate": 0.5},
              "mitigation": {"mode": "rep", "repeat": 2, "consensus": "unanimous"}},
-     "projectors"),
+     "trial 0, setting 'projectors'"),
     ("bench", {"experiment": "ghz", "parameters": {"b": 2, "p": 1}, "shots": 1, "seed": 2,
-               "noise": {"kind": "uniform", "m": 1, "rate": 0.05}}, "-YXYX")],
+               "noise": {"kind": "uniform", "m": 1, "rate": 0.05}},
+     "mode 'rep-unanimous-2': trial 0, setting '-YXYX'")],
     ids=["run", "bench"])
-def test_setting_with_no_accepted_shots_exits_1(tmp_path, capsys, command, cfg, setting):
+def test_setting_with_no_accepted_shots_exits_1(tmp_path, capsys, command, cfg, where):
     """Unanimous consensus can discard every shot of a setting: nothing is
-    left to estimate, and the error names the trial and the setting."""
+    left to estimate, and the error names the trial and the setting, and in
+    ``bench`` the mode."""
     assert cli.main([command, "--config", write(tmp_path, "cfg.json", cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: trial 0, setting '{setting}': no accepted shots")
+    assert err.startswith(f"error: {where}: no accepted shots")
     assert "Traceback" not in err
 
 

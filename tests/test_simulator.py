@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -472,6 +473,12 @@ def two_setting_run():
     return c, jobs, kw
 
 
+def assert_no_child_left():
+    """Every forked worker has been reaped: this process has no child left."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def result_bytes(result) -> tuple:
     """Every count of a result as bytes, with its dtype."""
     arrays = [result.signed_counts, *result.layer_reported_counts, *result.layer_flip_counts]
@@ -492,7 +499,33 @@ def test_worker_processes_give_the_serial_records(monkeypatch, workers):
     assert list(map(result_bytes, many)) == list(map(result_bytes, one))
     assert result_bytes(one[1]) == result_bytes(run_shots(c, jobs[1][0], jobs[1][1],
                                                           trial=jobs[1][2], **kw))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_worker_claims_take_every_batch_once():
+    # 3000 one-shot batches over five processes on however few cores: a lost
+    # or doubled claim leaves a count other than 1 at that batch's index
+    batches = 3000
+
+    class CountingRun:
+        def batch(self, j, b, size):
+            counts = np.zeros((2, batches), dtype=np.int64)
+            counts[0, b] = 1
+            return RunResult(setting=None, shots=size, accepted=size, discarded=0,
+                             signed_counts=counts, layer_reported_counts=[],
+                             layer_flip_counts=[])
+
+    results = {}
+
+    def add(j, part):
+        results[j] = results[j].merge(part) if j in results else part
+
+    start = time.perf_counter()
+    simulator._run_forked(CountingRun(), simulator._batches([(None, batches, 0)], 1), 4, add)
+    assert time.perf_counter() - start < 30
+    assert results[0].shots == batches
+    assert (results[0].signed_counts == [[1] * batches, [0] * batches]).all()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])
@@ -505,52 +538,97 @@ def test_batch_error_reraises_and_leaves_no_process(monkeypatch, where):
     def failing(*args, **kwargs):
         if (os.getpid() == parent) == (where == "parent"):
             raise OverflowError(f"batch in the {where}")
+        if where == "child":
+            time.sleep(0.05)  # leave the child batches to claim
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "_run_batch", failing)
     with pytest.raises(OverflowError, match=where):
         run_settings(c, jobs, workers=2, **kw)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+class Unbuildable(Exception):
+    """Pickles, but cannot be rebuilt from its pickle (two required args)."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in the {where}")
+
+
+def failing_in_the_child(monkeypatch, fail):
+    """A two-CPU ``two_setting_run`` whose child calls ``fail`` on its first
+    batch; the caller's batches sleep, so that the child surely claims one."""
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, real = os.getpid(), simulator._run_batch
+
+    def batch(*args, **kwargs):
+        if os.getpid() != parent:
+            fail()
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_run_batch", batch)
+    return two_setting_run()
+
+
+def test_worker_error_that_cannot_be_rebuilt_goes_back_as_its_repr(monkeypatch):
+    def fail():
+        raise Unbuildable("batch", "child")
+
+    c, jobs, kw = failing_in_the_child(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=r"Unbuildable\('batch in the child'\)"):
+        run_settings(c, jobs, workers=2, **kw)
+    assert_no_child_left()
+
+
+def test_worker_that_dies_without_its_counts_raises(monkeypatch):
+    c, jobs, kw = failing_in_the_child(monkeypatch, lambda: os._exit(7))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="exit code 7"):
+        run_settings(c, jobs, workers=2, **kw)
+    assert time.perf_counter() - start < 10
+    assert_no_child_left()
 
 
 def test_without_fork_workers_run_in_process(monkeypatch):
     c, jobs, kw = two_setting_run()
     one = run_settings(c, jobs, workers=1, **kw)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no process pool without fork")
+    def no_fork():
+        raise AssertionError("no fork without the fork start method")
 
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(simulator.os, "fork", no_fork)
     assert (list(map(result_bytes, run_settings(c, jobs, workers=2, **kw)))
             == list(map(result_bytes, one)))
 
 
 @pytest.mark.parametrize("cpus, children", [(1, []), (2, [1]), (3, [2])])
 def test_worker_count_capped_at_usable_cpus(monkeypatch, cpus, children):
-    # 4000 workers on a 4-batch run: the pool gets one process fewer than the
-    # usable CPUs (this process runs batches too), and none with one CPU
+    # 4000 workers on a 4-batch run: one child fewer than the usable CPUs is
+    # forked (this process runs batches too), and none with one CPU
     sizes = []
 
-    def pool_spy(run, tasks, size, add):  # records the pool size, forks nothing
+    def fork_spy(run, tasks, size, add):  # records the child count, forks nothing
         sizes.append(size)
         for j, b, shots in tasks:
             add(j, run.batch(j, b, shots))
 
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    monkeypatch.setattr(simulator, "_run_forked", pool_spy)
+    monkeypatch.setattr(simulator, "_run_forked", fork_spy)
     c = reset_circuit()
     shots = 4 * batch_size_for(c.n)
     one = run_shots(c, c.settings[0], shots, seed=4)
     capped = run_shots(c, c.settings[0], shots, seed=4, workers=4000)
     assert sizes == children
     assert result_bytes(capped) == result_bytes(one)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_run_settings_checks_every_job_first():
     c, jobs, kw = two_setting_run()
     with pytest.raises(ValueError, match="shots"):
         run_settings(c, [jobs[0], (jobs[1][0], 0, 5)], workers=2, **kw)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
