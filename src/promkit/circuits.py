@@ -148,7 +148,12 @@ def xor_feedback_table(qubits: tuple[int, ...]) -> tuple[tuple[Gate, ...], ...]:
 
 
 class Observable:
-    """Hermitian observable; shot estimation uses basis_gates + diagonal values."""
+    """Hermitian observable, diagonal after its basis gates.
+
+    Shots and the exact oracle both read it one way: rotate by
+    ``basis_gates``, measure (at least) the ``support``, and weight each
+    outcome by ``values_on_outcomes``.
+    """
 
     support: tuple[int, ...]
 
@@ -165,14 +170,6 @@ class Observable:
         ``measured`` (which must cover the support), *after* basis_gates."""
         raise NotImplementedError
 
-    def apply(self, state: np.ndarray, n: int) -> np.ndarray:
-        """O|psi> on a flat statevector (exact-oracle path; no basis change)."""
-        raise NotImplementedError
-
-    def expectation(self, state: np.ndarray, n: int) -> float:
-        """<psi|O|psi> on a flat statevector (exact-oracle path)."""
-        return float(np.vdot(state, self.apply(state, n)).real)
-
 
 def _support_masks(measured: tuple[int, ...], support: tuple[int, ...]) -> np.ndarray:
     """Per-outcome-bit weights selecting the support qubits, MSB-first."""
@@ -187,9 +184,6 @@ def _support_masks(measured: tuple[int, ...], support: tuple[int, ...]) -> np.nd
     return mask
 
 
-_PAULI_MATS = {"I": np.eye(2), "X": _X, "Y": _Y, "Z": _Z}
-
-
 class PauliString(Observable):
     """A signed Pauli string, e.g. -XYZ on qubits (0, 1, 2).
 
@@ -199,6 +193,8 @@ class PauliString(Observable):
     """
 
     def __init__(self, label: str, qubits: tuple[int, ...] | None = None, sign: int = 1):
+        if not isinstance(label, str):
+            raise TypeError(f"Pauli label must be a string, got {label!r}")
         label = label.upper()
         if set(label) - set("IXYZ"):
             raise ValueError(f"bad Pauli label {label!r}")
@@ -238,14 +234,6 @@ class PauliString(Observable):
         par = np.bitwise_count(t & mask) & 1
         return self.sign * np.where(par == 1, -1.0, 1.0)
 
-    def apply(self, state, n):
-        from . import engine  # local import to avoid a cycle
-        out = np.array(state, copy=True)
-        for q, p in zip(self.qubits, self.label):
-            if p != "I":
-                out = engine.apply_gate(out[None, :], Gate(p.lower(), (q,), _PAULI_MATS[p]), n)[0]
-        return self.sign * out
-
 
 class ZeroProjector(Observable):
     """Projector onto |0...0> of the given qubits; diagonal, norm 1."""
@@ -271,15 +259,6 @@ class ZeroProjector(Observable):
         t = np.arange(1 << k, dtype=np.int64)
         return np.where((t & mask) == 0, 1.0, 0.0)
 
-    def apply(self, state, n):
-        out = np.array(state, copy=True)
-        idx = np.arange(out.size)
-        mask = 0
-        for q in self.qubits:
-            mask |= 1 << (n - 1 - q)
-        out[(idx & mask) != 0] = 0.0
-        return out
-
 
 @dataclass
 class TerminalSetting:
@@ -295,6 +274,11 @@ class TerminalSetting:
         self.measured = tuple(self.measured)
         self.observables = tuple(self.observables)
         self.basis_gates = tuple(self.basis_gates)
+        measured = set(self.measured)
+        for name, ob in self.observables:
+            if not measured.issuperset(ob.support):
+                raise ValueError(f"setting {self.name!r} does not measure every qubit of "
+                                 f"observable {name!r} on {ob.support}")
 
     def value_table(self) -> list[tuple[str, np.ndarray]]:
         return [(name, obs.values_on_outcomes(self.measured)) for name, obs in self.observables]

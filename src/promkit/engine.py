@@ -89,20 +89,18 @@ def apply_gates(states: np.ndarray, gates, n: int) -> np.ndarray:
     return states
 
 
-def simulate_gates(gates, n: int, state: np.ndarray | None = None,
-                   dtype=np.complex128) -> np.ndarray:
-    """Single-state convenience: run a gate list from |0...0> (or ``state``)."""
-    if state is None:
-        states = zero_states(1, n, dtype=dtype)
-    else:
-        states = np.array(state, dtype=dtype, copy=True)[None, :]
-    return apply_gates(states, gates, n)[0]
-
-
 def _axes(qubits, n: int) -> list[int]:
     """(rows, 2, ..., 2) axes: rows, ``qubits`` as listed, the rest ascending."""
     axes = [1 + q for q in qubits]
     return [0] + axes + [ax for ax in range(1, n + 1) if ax not in axes]
+
+
+def blocks(states: np.ndarray, qubits, n: int) -> np.ndarray:
+    """The batch as (rows, 2**k, rest): entry [r, j, i] is row r's amplitude
+    where ``qubits`` read j (bit 0 the first listed) and the others read i."""
+    rows = states.shape[0]
+    t = np.transpose(states.reshape((rows,) + (2,) * n), _axes(qubits, n))
+    return np.ascontiguousarray(t).reshape(rows, 1 << len(qubits), -1)
 
 
 def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
@@ -117,10 +115,8 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     order, with its slice renormalized, and each shot's index into them.
     ``collapse=False`` skips them (slots, slices and branch are None).
     """
-    batch = states.shape[0]
     k = len(qubits)
-    t = states.reshape((batch,) + (2,) * n)
-    t = np.ascontiguousarray(np.transpose(t, _axes(qubits, n))).reshape(batch, 1 << k, -1)
+    t = blocks(states, qubits, n)
 
     probs = np.square(np.abs(t)).sum(axis=2).astype(np.float64)
     probs /= probs.sum(axis=1, keepdims=True)

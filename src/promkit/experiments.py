@@ -29,6 +29,8 @@ def build_reset_circuit(n_system: int = 1, prep: tuple[Gate, ...] | None = None,
     the feedforward fires; their |00> projector witnesses that the classical
     round leaves untouched qubits alone.
     """
+    check_size(n_system, "feedforward table")  # both before any loop over the qubits
+    check_size(n_system + 2, "statevector")
     spec0, spec1 = n_system, n_system + 1
     system = tuple(range(n_system))
     if prep is None:
@@ -66,7 +68,8 @@ def build_unitary_ghz(n: int) -> DynamicCircuit:
     """GHZ_n by unitary fan-out: n-1 CX, two-qubit depth ceil(n/2)."""
     if n < 2:
         raise ValueError("need at least two qubits")
-    return DynamicCircuit(n=n, prep=_fanout(tuple(range(n))), **_ghz_readout(n))
+    readout = _ghz_readout(n)  # checks n before the fan-out loops over it
+    return DynamicCircuit(n=n, prep=_fanout(tuple(range(n))), **readout)
 
 
 def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
@@ -81,7 +84,9 @@ def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
     """
     if b < 2 or p < 1:
         raise ValueError("need b >= 2 blocks of p >= 1 qubits")
+    check_size(b - 1, "feedforward table")  # both checks before any loop over the qubits
     stride = p + 1
+    readout = _ghz_readout(b * stride)
     blocks = [tuple(range(i * stride, i * stride + p)) for i in range(b)]
     ancillas = [i * stride + p for i in range(b)]
 
@@ -95,7 +100,6 @@ def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
         parity_checks.append(cx(blocks[i + 1][0], ancillas[i]))
 
     measured = tuple(ancillas[:-1])
-    check_size(b - 1, "feedforward table")
     table = []
     for v in range(1 << (b - 1)):
         bits = index_to_bits(v, b - 1)
@@ -111,8 +115,7 @@ def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
     absorb = tuple(cx(blocks[i][-1], ancillas[i]) for i in range(b))
     layer = FeedforwardLayer(measured=measured, table=tuple(table),
                              pre_gates=tuple(parity_checks), post_gates=absorb)
-    return DynamicCircuit(n=b * stride, prep=tuple(prep), layers=(layer,),
-                          **_ghz_readout(b * stride))
+    return DynamicCircuit(n=b * stride, prep=tuple(prep), layers=(layer,), **readout)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,7 @@ def build_teleport_circuit(k: int, phi_x: float = math.pi / 8,
     if k < 1:
         raise ValueError("need at least one stage")
     n = 2 * k + 1
+    check_size(n, "statevector")
     prep: list[Gate] = [rx(2 * phi_x, 0), rz(2 * phi_z, 0)]
     for j in range(1, k + 1):
         prep.extend((h(2 * j - 1), cx(2 * j - 1, 2 * j)))
@@ -249,6 +253,7 @@ def build_unitary_transport(k: int, phi_x: float = math.pi / 8,
                             phi_z: float = 3 * math.pi / 8) -> DynamicCircuit:
     """Unitary baseline for k-stage teleportation: 2k SWAPs = 6k CX."""
     n = 2 * k + 1
+    check_size(n, "statevector")
     prep: list[Gate] = [rx(2 * phi_x, 0), rz(2 * phi_z, 0)]
     for q in range(n - 1):
         prep.extend((cx(q, q + 1), cx(q + 1, q), cx(q, q + 1)))

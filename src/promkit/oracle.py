@@ -15,9 +15,10 @@ exactly:
   checks to 1e-9).
 
 One walk of the trajectory tree serves any number of observables, so the
-observables of every terminal setting of a circuit go into one call.
-Everything here is float64/complex128 and deliberately independent of the
-shot engine's sampling machinery.
+observables of every terminal setting of a circuit go into one call; each is
+read as a shot reads it, as a diagonal ``Read`` after basis gates.  The walk
+shares the shot engine's row layout and kernels (``apply_gates``,
+``blocks``, ``expand``) but none of its sampling, and runs in complex128.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .bits import SizeCapError, binary_convolve
-from .circuits import DynamicCircuit, Observable
+from .bits import SizeCapError, binary_convolve, check_size
+from .circuits import DynamicCircuit, Gate
 from .mitigation import MitigationWeights
 
 MAX_N = 12
@@ -68,26 +69,24 @@ class TrajectoryTensor:
         return float(alpha @ self.per_mask(b, q))
 
 
-def _project(state: np.ndarray, qubits, outcome: int, n: int) -> np.ndarray:
-    """Unnormalized projection onto computational ``outcome`` of ``qubits``."""
-    idx = np.arange(state.size)
-    mask = pattern = 0
-    k = len(qubits)
-    for j, q in enumerate(qubits):
-        bitpos = 1 << (n - 1 - q)
-        mask |= bitpos
-        if (outcome >> (k - 1 - j)) & 1:
-            pattern |= bitpos
-    out = np.where((idx & mask) == pattern, state, 0.0)
-    return out
+@dataclass(frozen=True)
+class Read:
+    """A diagonal read: sum_t |(U psi)_t|^2 values[t], with U the ``gates``
+    and t the outcome of the ``measured`` qubits (bit 0 the first listed)."""
+
+    gates: tuple[Gate, ...]
+    measured: tuple[int, ...]
+    values: np.ndarray
 
 
 def exact_trajectory_tensor(circuit: DynamicCircuit, observables) -> TrajectoryTensor:
     """Enumerate all trajectories of ``circuit`` against ``observables``.
 
-    ``observables`` is a list of (name, Observable); evaluation is exact and
-    exhaustive (4**m leaf branches), so the circuit must fit ``MAX_N`` qubits
-    and ``MAX_M`` measured bits.
+    ``observables`` is a list of (name, Read or Observable).  The walk holds
+    one unnormalized row per true-outcome history s, at most 2**m rows of
+    2**n amplitudes, and recurses over the lookup values v; it is exact and
+    exhaustive (4**m leaf branches), so the circuit must fit ``MAX_N``
+    qubits and ``MAX_M`` measured bits.
     """
     obs = list(observables)
     n, m = circuit.n, circuit.m
@@ -98,58 +97,43 @@ def exact_trajectory_tensor(circuit: DynamicCircuit, observables) -> TrajectoryT
     for layer in circuit.layers:
         if layer.repeat != 1:
             raise ValueError("exact oracle does not model QND repetition")
+    check_size(n + m, "oracle rows")
+    # a bare Observable reads its support after its own basis gates
+    reads = [ob if isinstance(ob, Read) else
+             Read(ob.basis_gates(), ob.support, ob.values_on_outcomes(ob.support))
+             for _, ob in obs]
 
     k = 1 << m
-    tensor = np.zeros((len(obs), k, k))
+    tensor = np.zeros((len(reads), k, k))
     probs = np.zeros(k)
 
-    init = engine.simulate_gates(circuit.prep, n)
-
-    def walk(state, li, s_acc, v_acc):
+    def walk(rows, s_acc, li, v_acc):
         if li == len(circuit.layers):
-            if s_acc == v_acc:
-                probs[s_acc] = float(np.vdot(state, state).real)
-            for b, (_, ob) in enumerate(obs):
-                tensor[b, s_acc, v_acc] = ob.expectation(state, n)
+            hit = s_acc == v_acc
+            probs[s_acc[hit]] = np.square(np.abs(rows[hit])).sum(axis=1)
+            for b, read in enumerate(reads):
+                rotated = engine.apply_gates(rows.copy(), read.gates, n)
+                t = np.square(np.abs(engine.blocks(rotated, read.measured, n)))
+                tensor[b, s_acc, v_acc] = t.sum(axis=2) @ read.values
             return
         layer = circuit.layers[li]
-        state = engine.simulate_gates(layer.pre_gates, n, state=state)
-        for s_l in range(1 << layer.m):
-            projected = _project(state, layer.measured, s_l, n)
-            if not projected.any():
-                continue  # zero-amplitude branch contributes nothing
-            for v_l in range(1 << layer.m):
-                branch = engine.simulate_gates(layer.table[v_l], n, state=projected)
-                branch = engine.simulate_gates(layer.post_gates, n, state=branch)
-                walk(branch,
-                     li + 1,
-                     (s_acc << layer.m) | s_l,
-                     (v_acc << layer.m) | v_l)
+        t = engine.blocks(engine.apply_gates(rows, layer.pre_gates, n), layer.measured, n)
+        parent, slots = np.nonzero(t.any(axis=2))  # every nonzero projection
+        projected = engine.expand(slots, t[parent, slots], layer.measured, n)
+        s_acc = s_acc[parent] << layer.m | slots
+        for v_l, entry in enumerate(layer.table):
+            branch = engine.apply_gates(projected.copy(), entry + layer.post_gates, n)
+            walk(branch, s_acc, li + 1, v_acc << layer.m | v_l)
 
-    walk(init, 0, 0, 0)
+    init = engine.apply_gates(engine.zero_states(1, n), circuit.prep, n)
+    walk(init, np.zeros(1, dtype=np.int64), 0, 0)
     return TrajectoryTensor(tensor=tensor, branch_probs=probs,
                             names=[name for name, _ in obs], n=n, m=m)
 
 
-def exact_setting_observables(setting) -> list[tuple[str, Observable]]:
-    """Oracle observables equivalent to a terminal setting's diagonal reads:
-    each reads its eigenvalues off the setting's measured qubits after the
-    setting's basis gates, without shot sampling."""
-    return [(name, _SettingRead(ob, setting)) for name, ob in setting.observables]
-
-
-class _SettingRead(Observable):
-    """<psi|U^dag D U|psi> as sum_t |(U psi)_t|^2 D[t], with U the setting's
-    basis gates and D the observable's values on the measured qubits."""
-
-    def __init__(self, ob: Observable, setting):
-        self.values = ob.values_on_outcomes(setting.measured)
-        self.measured = setting.measured
-        self.gates = setting.basis_gates
-
-    def expectation(self, state, n) -> float:
-        rotated = engine.simulate_gates(self.gates, n, state=state)
-        t = np.square(np.abs(rotated)).reshape((2,) * n)
-        rest = [q for q in range(n) if q not in self.measured]
-        marginal = np.transpose(t, list(self.measured) + rest).reshape(self.values.size, -1)
-        return float(marginal.sum(axis=1) @ self.values)
+def exact_setting_observables(setting) -> list[tuple[str, Read]]:
+    """Oracle reads of a terminal setting's observables: each reads its
+    values off the setting's measured qubits after the setting's basis
+    gates, as a shot does, without sampling."""
+    return [(name, Read(setting.basis_gates, setting.measured, values))
+            for name, values in setting.value_table()]

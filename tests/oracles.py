@@ -11,7 +11,9 @@ import numpy as np
 from promkit import engine
 from promkit.bits import (AliasSampler, fwht, index_to_bits, parity,
                           sample_independent_bits, split_index, stream)
+from promkit.circuits import PauliString
 from promkit.mitigation import GeneralWeights, LayeredWeights, TensoredWeights
+from promkit.oracle import Read
 from promkit.simulator import RunResult, ShotRecord, _pick_dtype, batch_size_for
 
 I2 = np.eye(2)
@@ -141,6 +143,85 @@ def apply_circuit_dense(gates, n, state=None):
     for g in gates:
         state = dense_unitary(g, n) @ state
     return state
+
+
+PAULIS = {"I": I2, "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
+          "Z": np.diag([1, -1])}
+
+
+def dense_observable(ob, n):
+    """A bare observable as a 2^n x 2^n matrix: the Kronecker product of a
+    Pauli string's factors, or of |0><0| on a zero projector's qubits."""
+    mats = [I2] * n
+    if isinstance(ob, PauliString):
+        for q, p in zip(ob.qubits, ob.label):
+            mats[q] = PAULIS[p]
+        return ob.sign * kron_chain(mats)
+    for q in ob.qubits:
+        mats[q] = np.diag([1, 0])
+    return kron_chain(mats)
+
+
+def dense_read(read, n):
+    """A setting's read as the matrix U^dag D U, with U its gates and D
+    diagonal: on basis state i, the value of the outcome that the read's
+    measured qubits show in i."""
+    diagonal = np.empty(1 << n)
+    for i in range(1 << n):
+        outcome = 0
+        for q in read.measured:
+            outcome = outcome << 1 | (i >> (n - 1 - q)) & 1
+        diagonal[i] = read.values[outcome]
+    u = apply_circuit_dense(read.gates, n, np.eye(1 << n))
+    return u.conj().T @ np.diag(diagonal) @ u
+
+
+def dense_projector(qubits, outcome, n):
+    """|outcome><outcome| on ``qubits`` (bit 0 the first listed), the
+    identity elsewhere, as a 2^n x 2^n matrix."""
+    mats = [I2] * n
+    for j, q in enumerate(qubits):
+        bit = (outcome >> (len(qubits) - 1 - j)) & 1
+        mats[q] = np.diag([1 - bit, bit])
+    return kron_chain(mats)
+
+
+def recursive_trajectory_tensor(circuit, observables):
+    """``oracle.exact_trajectory_tensor`` as the walk over every (s, v) leaf
+    on one dense statevector: project onto each outcome s_l, apply each
+    table entry v_l and the post gates, and recurse; each observable is a
+    dense matrix.  Returns (tensor, branch_probs)."""
+    n, m = circuit.n, circuit.m
+    eye = np.eye(1 << n)
+    mats = [dense_read(ob, n) if isinstance(ob, Read) else dense_observable(ob, n)
+            for _, ob in observables]
+    # per layer: its pre gates, its projectors and its table entries then
+    # post gates, each as one matrix
+    layers = [(apply_circuit_dense(layer.pre_gates, n, eye),
+               [dense_projector(layer.measured, s_l, n) for s_l in range(1 << layer.m)],
+               [apply_circuit_dense(entry + layer.post_gates, n, eye) for entry in layer.table])
+              for layer in circuit.layers]
+    tensor = np.zeros((len(mats), 1 << m, 1 << m))
+    probs = np.zeros(1 << m)
+
+    def walk(state, li, s_acc, v_acc):
+        if li == len(layers):
+            if s_acc == v_acc:
+                probs[s_acc] = np.vdot(state, state).real
+            for b, mat in enumerate(mats):
+                tensor[b, s_acc, v_acc] = np.vdot(state, mat @ state).real
+            return
+        pre, projectors, entries = layers[li]
+        width = circuit.layers[li].m
+        for s_l, projector in enumerate(projectors):
+            projected = projector @ pre @ state
+            if not projected.any():
+                continue
+            for v_l, entry in enumerate(entries):
+                walk(entry @ projected, li + 1, s_acc << width | s_l, v_acc << width | v_l)
+
+    walk(apply_circuit_dense(circuit.prep, n), 0, 0, 0)
+    return tensor, probs
 
 
 def project_by_waterfill(v):

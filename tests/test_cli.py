@@ -427,6 +427,32 @@ def test_size_cap_tables_exit_3(tmp_path, capsys, monkeypatch, experiment, param
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, parameters", [
+    ("reset", {"n": 2 ** 63}),
+    ("reset", {"n": 10 ** 8}),
+    ("reset", {"n": 20}),  # a table within the cap, a statevector above it
+    ("ghz", {"b": 2, "p": 2 ** 70}),
+    ("ghz-unitary", {"n": 2 ** 63}),
+    ("teleport", {"k": 2 ** 63}),
+    ("transport", {"k": 2 ** 63}),
+])
+def test_size_cap_huge_parameters_exit_3(tmp_path, capsys, experiment, parameters):
+    """A builder checks its sizes before it loops over its parameter: these
+    used to overflow, run for seconds to minutes, or grow a gate list until
+    killed."""
+    cfg = write(tmp_path, "cfg.json", {"experiment": experiment, "parameters": parameters,
+                                       "shots": 10})
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: size cap:")
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("value", [1.7, "2", True, None, [2]])
 @pytest.mark.parametrize("experiment, parameters, key, noise", [
     ("reset", {"n": 1}, "n", None),
@@ -521,11 +547,15 @@ ONE_QUBIT = {"n": 1, "prep": [["h", 0]],
     # calibration needs mid-circuit bits to calibrate
     {"command": "calibrate", "experiment": "transport", "parameters": {"k": 1},
      "noise": {"kind": "asymmetric", "matrices": []}},
+    # a Pauli label that is not a string used to end in an AttributeError
+    *({"settings": [{"name": "t", "measured": [0],
+                     "observables": [{"name": "z", "pauli": label}]}]}
+      for label in (0.5, ["Z"], None)),
 ])
 def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
-    """Circuit-file integers, angles, noise rates, noise tables and the bfa
-    switch of the wrong type, with a fractional part, or not finite end in an
-    error line, not a coerced run or a traceback.  So do noise specs that are
+    """Circuit-file integers, angles, Pauli labels, noise rates, noise tables
+    and the bfa switch of the wrong type, with a fractional part, or not
+    finite end in an error line, not a coerced run or a traceback.  So do noise specs that are
     not objects, circuit paths that are not strings, and calibrate on a
     circuit with no mid-circuit bits."""
     case = dict(case)
@@ -551,6 +581,20 @@ def test_non_numbers_rejected_at_the_boundary(tmp_path, capsys, case):
     assert err.startswith("error:")
     if "path" in case:  # refused before open(), not failed in it
         assert "path must be a string" in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("observable", [{"name": "p", "zeros": [0]},
+                                        {"name": "zz", "pauli": "ZZ", "qubits": [1, 0]}])
+def test_observable_off_the_measured_qubits_rejected(tmp_path, capsys, command, observable):
+    """An observable on a qubit that its setting does not measure is refused
+    when the setting is built, not in a traceback from its first read."""
+    circuit = {"n": 2, "prep": [["h", 0]],
+               "settings": [{"name": "t", "measured": [1], "observables": [observable]}]}
+    path = write(tmp_path, "cfg.json", custom_config(tmp_path, circuit))
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not measure" in err
 
 
 ONE_LAYER = {"n": 1, "layers": [{"measured": [0], "table": [[], [["x", 0]]]}],

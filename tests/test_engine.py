@@ -32,7 +32,7 @@ def random_gates(rng, n, count):
 def test_gates_match_dense_kron(n, seed):
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, n, 8)
-    fast = engine.simulate_gates(gates, n)
+    fast = engine.apply_gates(engine.zero_states(1, n), gates, n)[0]
     slow = apply_circuit_dense(gates, n)
     assert np.allclose(fast, slow, atol=1e-10)
 
@@ -42,7 +42,7 @@ def test_batched_matches_single():
     gates = random_gates(rng, 3, 10)
     batch = engine.zero_states(4, 3, dtype=np.complex128)
     batch = engine.apply_gates(batch, gates, 3)
-    single = engine.simulate_gates(gates, 3)
+    single = engine.apply_gates(engine.zero_states(1, 3), gates, 3)[0]
     for row in batch:
         assert np.allclose(row, single, atol=1e-12)
 

@@ -1,10 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import masked_by_gather, mitigated_by_loop, random_distribution
-from promkit import oracle
+from oracles import (masked_by_gather, mitigated_by_loop, random_distribution,
+                     recursive_trajectory_tensor)
+from promkit import engine, oracle
 from promkit.bits import SizeCapError
 from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
                               TerminalSetting, ZeroProjector, cx, h, x,
@@ -166,6 +169,45 @@ def test_per_mask_matches_the_double_sums(run, seed):
         assert t.mitigated(b, q, alpha) == pytest.approx(
             mitigated_by_loop(t, b, q, alpha), rel=0, abs=1e-12)
         assert t.mitigated(b, q, GeneralWeights(q)) == pytest.approx(t.ideal(b), abs=1e-9)
+
+
+@given(runs(kinds=("none",), terminal=False, max_m=oracle.MAX_M, consensus=[(1, "none")]),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_walk_matches_the_dense_recursion(run, seed):
+    """The row-batch walk gives the tensor and branch probabilities of the
+    leaf-by-leaf walk on dense matrices, for setting reads and for a bare
+    Pauli string and zero projector on random qubits."""
+    circuit, _, _ = run
+    n = circuit.n
+    rng = np.random.default_rng(seed)
+    label = "".join(rng.choice(list("IXYZ"), size=n))
+    obs = oracle.exact_setting_observables(circuit.settings[0]) + [
+        ("pauli", PauliString(label, tuple(rng.permutation(n).tolist()),
+                              sign=int(rng.choice([-1, 1])))),
+        ("zeros", ZeroProjector(tuple(rng.permutation(n)[:rng.integers(1, n + 1)].tolist())))]
+    t = oracle.exact_trajectory_tensor(circuit, obs)
+    tensor, probs = recursive_trajectory_tensor(circuit, obs)
+    assert np.allclose(t.tensor, tensor, rtol=0, atol=1e-12)
+    assert np.allclose(t.branch_probs, probs, rtol=0, atol=1e-12)
+
+
+def test_walk_holds_one_row_per_true_history(monkeypatch):
+    """On three 2-bit teleport layers (m = 6), where every true-outcome
+    history has weight, no engine call inside the oracle takes or returns an
+    array of more than 2**m rows, and the last layer's calls hold all 2**m."""
+    circuit = build_teleport_circuit(3)
+    rows = []
+    for name, fn in list(vars(engine).items()):
+        if inspect.isfunction(fn) and fn.__module__ == engine.__name__:
+            def spy(*args, _real=fn, **kwargs):
+                out = _real(*args, **kwargs)
+                rows.extend(a.shape[0] for a in (*args, out) if isinstance(a, np.ndarray))
+                return out
+            monkeypatch.setattr(engine, name, spy)
+    oracle.exact_trajectory_tensor(circuit, [ob for setting in circuit.settings
+                                             for ob in oracle.exact_setting_observables(setting)])
+    assert circuit.m == 6 and max(rows) == 1 << circuit.m
 
 
 SAMPLER_SHOTS = 20000
