@@ -19,9 +19,8 @@ from .config import ConfigError, run_config
 from .experiments import (apply_rep_strategy, build_calibration_circuit,
                           build_ghz_circuit, build_reset_circuit,
                           build_teleport_circuit, build_unitary_ghz,
-                          build_unitary_transport, ghz_fidelity,
-                          ghz_stabilizer_settings, ghz_stabilizers,
-                          run_calibration, run_ghz_fidelity)
+                          build_unitary_transport, ghz_stabilizer_settings,
+                          run_calibration)
 from .mitigation import (GeneralWeights, LayeredWeights, MitigationWeights,
                          SingularChannelError, TensoredWeights,
                          UniformWeights, overhead_bound, project_nonnegative,
@@ -30,11 +29,10 @@ from .mitigation import (GeneralWeights, LayeredWeights, MitigationWeights,
 from .oracle import TrajectoryTensor, exact_setting_observables, exact_trajectory_tensor
 from .readout import (ConfusionMatrix, GeneralModel, LayeredModel,
                       SyndromeModel, TensoredModel, UniformModel, calibrate,
-                      eigenvalues, marginalize, symmetrize, total_error,
-                      total_variation_distance)
+                      symmetrize, total_error, total_variation_distance)
 from .simulator import (NoiseInjector, ObservableEstimate, RunResult,
                         aggregate_estimate, estimate_observables, run_settings,
-                        run_shot, run_shots)
+                        run_shots)
 
 __all__ = [
     "__version__",
@@ -49,8 +47,7 @@ __all__ = [
     # experiments
     "apply_rep_strategy", "build_calibration_circuit", "build_ghz_circuit",
     "build_reset_circuit", "build_teleport_circuit", "build_unitary_ghz",
-    "build_unitary_transport", "ghz_fidelity", "ghz_stabilizer_settings",
-    "ghz_stabilizers", "run_calibration", "run_ghz_fidelity",
+    "build_unitary_transport", "ghz_stabilizer_settings", "run_calibration",
     # mitigation
     "GeneralWeights", "LayeredWeights", "MitigationWeights",
     "SingularChannelError", "TensoredWeights", "UniformWeights",
@@ -60,9 +57,9 @@ __all__ = [
     "TrajectoryTensor", "exact_setting_observables", "exact_trajectory_tensor",
     # readout
     "ConfusionMatrix", "GeneralModel", "LayeredModel", "SyndromeModel",
-    "TensoredModel", "UniformModel", "calibrate", "eigenvalues", "marginalize",
-    "symmetrize", "total_error", "total_variation_distance",
+    "TensoredModel", "UniformModel", "calibrate", "symmetrize", "total_error",
+    "total_variation_distance",
     # simulator
     "NoiseInjector", "ObservableEstimate", "RunResult", "aggregate_estimate",
-    "estimate_observables", "run_settings", "run_shot", "run_shots",
+    "estimate_observables", "run_settings", "run_shots",
 ]

@@ -107,8 +107,10 @@ def plan_config(raw: dict) -> RunPlan:
     if not circuit.settings:
         raise ConfigError(f"experiment '{cfg['experiment']}' defines no "
                           "terminal settings to estimate")
-    # run_plan holds one job and one result per (trial, setting)
-    check_size((cfg["trials"] * len(circuit.settings) - 1).bit_length(), "trials x settings")
+    # run_plan holds one job per (trial, setting), and its result holds a
+    # (2, 2**k) count table over the setting's k terminal bits
+    outcomes = cfg["trials"] * sum(1 << len(setting.measured) for setting in circuit.settings)
+    check_size((outcomes - 1).bit_length(), "trials x settings x terminal outcomes")
     if cfg["terminal_rem"] and (noise is None or noise.terminal is None):
         raise ConfigError("terminal_rem needs noise with a 'terminal' channel")
     return RunPlan(cfg, circuit, noise)

@@ -1,6 +1,13 @@
 """Experiment families: feedforward reset, entangled-state preparation via
 mid-circuit parity checks, staged teleportation, repetition baselines, and
-stabilizer fidelity estimation.
+calibration.
+
+Each builder returns a ``DynamicCircuit`` that carries its own terminal
+settings.  The GHZ builders also carry the stabilizer settings and the
+``aggregate`` (name, scale) of the fidelity derived from them: ``config``
+reports it as ``scale`` times the sum of the settings' estimates, and the
+exact value is ``scale`` times the sum of the oracle's ideal values of
+every setting's observables.
 """
 from __future__ import annotations
 
@@ -9,37 +16,37 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import oracle, simulator
 from .bits import check_size, index_to_bits
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                        TerminalSetting, ZeroProjector, cx, h, ry, rx, rz, sdg,
                        x, xor_feedback_table, z)
 from .readout import calibrate
-from .simulator import NoiseInjector, RunResult, run_settings, run_shots
+from .simulator import NoiseInjector, run_shots
 
 
 # ---------------------------------------------------------------------------
 # reset with spectators
 
-def build_reset_circuit(n_system: int = 1, prep: tuple[Gate, ...] | None = None,
-                        spectator_angle: float = 1.1) -> DynamicCircuit:
-    """Prepare n system qubits, measure them all, and X-feedback to |0...0>.
+SPECTATOR_ANGLE = 1.1
 
-    Two spectator qubits are prepared in a rotated state and un-rotated after
-    the feedforward fires; their |00> projector witnesses that the classical
-    round leaves untouched qubits alone.
+
+def build_reset_circuit(n_system: int = 1) -> DynamicCircuit:
+    """Prepare n system qubits in |+>, measure them all, and X-feedback to |0...0>.
+
+    Two spectator qubits are rotated by ``SPECTATOR_ANGLE`` and un-rotated
+    after the feedforward fires; their |00> projector witnesses that the
+    classical round leaves untouched qubits alone.
     """
     check_size(n_system, "feedforward table")  # both before any loop over the qubits
     check_size(n_system + 2, "statevector")
     spec0, spec1 = n_system, n_system + 1
     system = tuple(range(n_system))
-    if prep is None:
-        prep = tuple(h(q) for q in system)
-    prep = tuple(prep) + (ry(spectator_angle, spec0), ry(spectator_angle, spec1))
+    prep = (tuple(h(q) for q in system)
+            + (ry(SPECTATOR_ANGLE, spec0), ry(SPECTATOR_ANGLE, spec1)))
     layer = FeedforwardLayer(
         measured=system,
         table=xor_feedback_table(system),
-        post_gates=(ry(-spectator_angle, spec0), ry(-spectator_angle, spec1)),
+        post_gates=(ry(-SPECTATOR_ANGLE, spec0), ry(-SPECTATOR_ANGLE, spec1)),
     )
     setting = TerminalSetting(
         name="projectors",
@@ -119,7 +126,7 @@ def build_ghz_circuit(b: int, p: int) -> DynamicCircuit:
 
 
 # ---------------------------------------------------------------------------
-# GHZ stabilizers and fidelity
+# GHZ stabilizers
 
 _Z_STRING = str.maketrans("01", "IZ")
 _XY_STRING = str.maketrans("01", "XY")
@@ -137,24 +144,14 @@ def _ghz_stabilizer_labels(n: int) -> list[tuple[str, int]]:
                for bits in even])
 
 
-def ghz_stabilizers(n: int) -> list[PauliString]:
-    """The 2**n stabilizers of GHZ_n."""
-    return [PauliString(label, sign=sign) for label, sign in _ghz_stabilizer_labels(n)]
-
-
-def ghz_fidelity(expectations) -> float:
-    """F = 2^{-n} sum over all 2**n stabilizer expectations (= their mean)."""
-    e = np.asarray(expectations, dtype=np.float64)
-    return float(e.mean())
-
-
 def ghz_stabilizer_settings(n: int) -> list[TerminalSetting]:
     """Measurement settings covering all stabilizers.
 
     All Z-strings share the computational basis; each X/Y-string needs its
     own per-qubit basis (H, or Sdg+H where it has a Y).
     """
-    check_size(n - 1, "stabilizer settings")
+    # 2**(n-1) + 1 settings of up to 2n basis gates each
+    check_size(n + (n - 1).bit_length(), "stabilizer settings x gates")
     labels = _ghz_stabilizer_labels(n)
     z_labels, xy_labels = labels[:len(labels) // 2], labels[len(labels) // 2:]
     measured = tuple(range(n))
@@ -176,29 +173,6 @@ def _ghz_readout(n: int) -> dict:
     """Settings covering every GHZ_n stabilizer, and the fidelity derived
     from them: 2^-n times the sum of all stabilizer expectations."""
     return {"settings": ghz_stabilizer_settings(n), "aggregate": ("fidelity", 2.0 ** -n)}
-
-
-def exact_ghz_fidelity(circuit: DynamicCircuit) -> float:
-    """Oracle fidelity of the circuit's output against GHZ over all qubits."""
-    stabs = [(str(i), ob) for i, ob in enumerate(ghz_stabilizers(circuit.n))]
-    tensor = oracle.exact_trajectory_tensor(circuit, stabs)
-    return ghz_fidelity([tensor.ideal(b) for b in range(len(stabs))])
-
-
-def run_ghz_fidelity(circuit: DynamicCircuit, shots_per_setting: int, *,
-                     noise: NoiseInjector | None = None, weights=None,
-                     seed: int = 0, workers: int = 1) -> tuple[float, float, list[RunResult]]:
-    """Shot-based stabilizer fidelity; returns (F, stderr, per-setting results).
-
-    Settings are run on independent shot batches, as trial 0 of
-    ``config.run_config`` runs them (see ``simulator.aggregate_estimate``).
-    """
-    circuit = replace(circuit, **_ghz_readout(circuit.n))
-    results = run_settings(circuit, [(setting, shots_per_setting, index)
-                                     for index, setting in enumerate(circuit.settings)],
-                           noise=noise, weights=weights, seed=seed, workers=workers)
-    f_est, f_err = simulator.aggregate_estimate(results, scale=circuit.aggregate[1])
-    return f_est, f_err, results
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +246,6 @@ def apply_rep_strategy(circuit: DynamicCircuit, repeat: int, mode: str) -> Dynam
     layers = tuple(replace(layer, repeat=repeat, consensus=mode)
                    for layer in circuit.layers)
     return replace(circuit, layers=layers)
-
-
-def rep_majority_flip_rate(rate: float, repeat: int) -> float:
-    """Per-bit consensus error of majority voting over iid flips."""
-    return float(sum(math.comb(repeat, j) * rate ** j * (1 - rate) ** (repeat - j)
-                     for j in range(repeat // 2 + 1, repeat + 1)))
-
-
-def rep_unanimous_acceptance(rate: float, repeat: int) -> float:
-    """Per-bit probability that all repeated reports agree."""
-    return float((1 - rate) ** repeat + rate ** repeat)
 
 
 # ---------------------------------------------------------------------------

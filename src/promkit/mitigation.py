@@ -146,7 +146,7 @@ class LayeredWeights(MitigationWeights):
         return out
 
 
-def solve_weights(model) -> MitigationWeights:
+def solve_weights(model: SyndromeModel) -> MitigationWeights:
     """Mitigation weights for a syndrome model, preserving its structure."""
     if isinstance(model, TensoredModel):
         return TensoredWeights(model.rates)
@@ -154,9 +154,7 @@ def solve_weights(model) -> MitigationWeights:
         return LayeredWeights([solve_weights(p) for p in model.parts])
     if isinstance(model, GeneralModel):
         return GeneralWeights(model.q)
-    if isinstance(model, SyndromeModel):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    return GeneralWeights(np.asarray(model, dtype=np.float64))
+    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def overhead_bound(eta: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (AliasSampler, alias_lookup, check_size, fwht, num_bits,
+from .bits import (AliasSampler, alias_lookup, check_size, num_bits,
                    sample_independent_bits)
 
 PROB_ATOL = 1e-9
@@ -34,11 +34,6 @@ def _validate_distribution(q: np.ndarray, name: str = "q") -> np.ndarray:
     if abs(q.sum() - 1.0) > 1e-6:
         raise ValueError(f"{name} must sum to 1 (got {q.sum()!r})")
     return np.clip(q, 0.0, None)
-
-
-def eigenvalues(q) -> np.ndarray:
-    """Walsh spectrum of the symmetrized channel; entry 0 is exactly 1."""
-    return fwht(q)
 
 
 def total_error(q) -> float:
@@ -67,26 +62,6 @@ def symmetrize(matrix) -> np.ndarray:
     for s in range(k):
         q[s] = m.matrix[idx ^ s, idx].mean()
     return q
-
-
-def marginalize(q, keep) -> np.ndarray:
-    """Marginal syndrome distribution on a subset of bit positions.
-
-    ``keep`` lists bit positions (0 = leftmost) in the order they should
-    appear in the result.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    m = num_bits(q.size)
-    keep = list(keep)
-    if any(j < 0 or j >= m for j in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"keep must be distinct bit positions < {m}")
-    t = q.reshape((2,) * m)
-    drop = tuple(j for j in range(m) if j not in keep)
-    t = t.sum(axis=drop) if drop else t
-    # axes of t are the kept bits in ascending position order; reorder
-    asc = sorted(keep)
-    order = [asc.index(j) for j in keep]
-    return t.transpose(order).reshape(-1)
 
 
 class ConfusionMatrix:

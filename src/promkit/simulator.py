@@ -164,24 +164,6 @@ class RunResult:
             mine += theirs
         return self
 
-    @property
-    def counts(self) -> np.ndarray:
-        """Plain histogram of terminal outcomes (signs ignored)."""
-        return self.signed_counts.sum(axis=0)
-
-
-@dataclass
-class ShotRecord:
-    """Full classical record of a single shot (unit-test hook)."""
-
-    true_outcomes: list[int]
-    reported_outcomes: list[int]
-    lookup_indices: list[int]
-    mask: int
-    sign: int
-    discarded: bool
-    terminal_outcome: int | None
-
 
 @dataclass
 class ObservableEstimate:
@@ -254,15 +236,14 @@ def _consensus(reports: np.ndarray, layer) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
                noise: NoiseInjector | None, weights: MitigationWeights | None,
-               rng: np.random.Generator, dtype, collect: bool = False, tables=None):
+               rng: np.random.Generator, dtype, tables: tuple) -> RunResult:
     """Run one batch of ``size`` shots.
 
     ``states`` holds one row per distinct state and ``branch[i]`` is shot
-    i's row; ``tables`` is ``_compile(circuit)``, made here if not given.
+    i's row; ``tables`` is ``_compile(circuit)``.
     """
     n = circuit.n
     noise = NoiseInjector() if noise is None else noise
-    tables = _compile(circuit) if tables is None else tables
 
     # all classical randomness that can be presampled is drawn up front in a
     # fixed order, so the draw sequence does not depend on outcomes
@@ -279,7 +260,7 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
     branch = np.zeros(size, dtype=np.int64)
 
     accepted = np.ones(size, dtype=bool)
-    trues, reporteds, lookups = [], [], []
+    trues, reporteds = [], []
     last = len(circuit.layers) - 1
     for li, layer in enumerate(circuit.layers):
         # the state after the last layer is read only by a terminal measurement
@@ -318,7 +299,6 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
 
         trues.append(true)
         reporteds.append(consensus)
-        lookups.append(lookup)
 
     if setting.measured:
         states = engine.apply_gates(states, setting.basis_gates, n)
@@ -345,20 +325,10 @@ def _run_batch(circuit: DynamicCircuit, setting: TerminalSetting, size: int,
         flip_counts.append(np.array([np.count_nonzero(flips & (1 << (layer.m - 1 - j)))
                                      for j in range(layer.m)], dtype=np.int64))
 
-    result = RunResult(setting=setting, shots=size, accepted=int(accepted.sum()),
-                       discarded=int(size - accepted.sum()), signed_counts=counts,
-                       layer_reported_counts=rep_counts, layer_flip_counts=flip_counts,
-                       xi=weights.xi if weights is not None else 1.0)
-    if not collect:
-        return result
-    records = [ShotRecord(true_outcomes=[int(t[i]) for t in trues],
-                          reported_outcomes=[int(r[i]) for r in reporteds],
-                          lookup_indices=[int(l[i]) for l in lookups],
-                          mask=int(masks[i]), sign=int(signs[i]),
-                          discarded=not bool(accepted[i]),
-                          terminal_outcome=int(term[i]) if setting.measured else None)
-               for i in range(size)]
-    return result, records
+    return RunResult(setting=setting, shots=size, accepted=int(accepted.sum()),
+                     discarded=int(size - accepted.sum()), signed_counts=counts,
+                     layer_reported_counts=rep_counts, layer_flip_counts=flip_counts,
+                     xi=weights.xi if weights is not None else 1.0)
 
 
 Job = tuple[TerminalSetting, int, int]  # (setting, shots, trial)
@@ -379,7 +349,7 @@ class _Run:
     def batch(self, j: int, b: int, size: int) -> RunResult:
         setting, _, trial = self.jobs[j]
         return _run_batch(self.circuit, setting, size, self.noise, self.weights,
-                          stream(self.seed, trial, b), self.dtypes[j], tables=self.tables)
+                          stream(self.seed, trial, b), self.dtypes[j], self.tables)
 
 
 def _batches(jobs, batch: int):
@@ -541,17 +511,6 @@ def run_shots(circuit: DynamicCircuit, setting: TerminalSetting, shots: int, *,
     ``run_settings`` with one job."""
     return run_settings(circuit, [(setting, shots, trial)], noise=noise, weights=weights,
                         seed=seed, workers=workers)[0]
-
-
-def run_shot(circuit: DynamicCircuit, setting: TerminalSetting,
-             rng: np.random.Generator, *, noise: NoiseInjector | None = None,
-             weights: MitigationWeights | None = None) -> ShotRecord:
-    """Single-shot path returning the full classical record."""
-    if noise is not None:
-        noise.validate_for(circuit, setting)
-    _, records = _run_batch(circuit, setting, 1, noise, weights, rng,
-                            _pick_dtype(circuit, setting), collect=True)
-    return records[0]
 
 
 def signed_estimate(result: RunResult, values: np.ndarray,

@@ -2,19 +2,26 @@
 
 Everything here is written the slow, obvious way (dense matrices, double
 sums, linear solves) so that agreement with the fast implementations is
-meaningful.
+meaningful.  ``branching_batch`` reads the simulator's shot records through
+spies, so that the package's shot loop needs no record-keeping path.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
+from dataclasses import dataclass
 
-from promkit import engine
-from promkit.bits import (AliasSampler, fwht, index_to_bits, parity,
+import numpy as np
+import pytest
+
+from promkit import engine, oracle, simulator
+from promkit.bits import (AliasSampler, fwht, index_to_bits, num_bits, parity,
                           sample_independent_bits, split_index, stream)
 from promkit.circuits import PauliString
-from promkit.mitigation import GeneralWeights, LayeredWeights, TensoredWeights
+from promkit.experiments import _ghz_stabilizer_labels
+from promkit.mitigation import (GeneralWeights, LayeredWeights, MitigationWeights,
+                                TensoredWeights)
 from promkit.oracle import Read
-from promkit.simulator import RunResult, ShotRecord, _pick_dtype, batch_size_for
+from promkit.simulator import RunResult, _pick_dtype, batch_size_for
 
 I2 = np.eye(2)
 CX = np.array([[1, 0, 0, 0],
@@ -256,6 +263,60 @@ def perturbed_distribution(rng, q, scale):
     return (1 - t) * q + t * noise
 
 
+def marginalize(q, keep) -> np.ndarray:
+    """Marginal syndrome distribution on a subset of bit positions.
+
+    ``keep`` lists bit positions (0 = leftmost) in the order they should
+    appear in the result.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    m = num_bits(q.size)
+    keep = list(keep)
+    if any(j < 0 or j >= m for j in keep) or len(set(keep)) != len(keep):
+        raise ValueError(f"keep must be distinct bit positions < {m}")
+    t = q.reshape((2,) * m)
+    drop = tuple(j for j in range(m) if j not in keep)
+    t = t.sum(axis=drop) if drop else t
+    # axes of t are the kept bits in ascending position order; reorder
+    asc = sorted(keep)
+    order = [asc.index(j) for j in keep]
+    return t.transpose(order).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the repetition baselines and the GHZ fidelity
+
+def rep_majority_flip_rate(rate: float, repeat: int) -> float:
+    """Per-bit consensus error of majority voting over iid flips."""
+    return float(sum(math.comb(repeat, j) * rate ** j * (1 - rate) ** (repeat - j)
+                     for j in range(repeat // 2 + 1, repeat + 1)))
+
+
+def rep_unanimous_acceptance(rate: float, repeat: int) -> float:
+    """Per-bit probability that all repeated reports agree."""
+    return float((1 - rate) ** repeat + rate ** repeat)
+
+
+def ghz_stabilizers(n: int) -> list[PauliString]:
+    """The 2**n stabilizers of GHZ_n as bare Pauli strings, built apart
+    from ``experiments.ghz_stabilizer_settings``."""
+    return [PauliString(label, sign=sign) for label, sign in _ghz_stabilizer_labels(n)]
+
+
+def ghz_fidelity(expectations) -> float:
+    """F = 2^{-n} sum over all 2**n stabilizer expectations (= their mean)."""
+    e = np.asarray(expectations, dtype=np.float64)
+    return float(e.mean())
+
+
+def exact_ghz_fidelity(circuit) -> float:
+    """Oracle fidelity of the circuit's output against GHZ over all qubits,
+    each stabilizer read as a bare observable after its own basis gates."""
+    stabs = [(str(i), ob) for i, ob in enumerate(ghz_stabilizers(circuit.n))]
+    tensor = oracle.exact_trajectory_tensor(circuit, stabs)
+    return ghz_fidelity([tensor.ideal(b) for b in range(len(stabs))])
+
+
 # ---------------------------------------------------------------------------
 # classical shot-path kernels as they were before the O(shots) rewrite: a
 # count over the gathered cumulative rows, np.unique splits, one gather per
@@ -371,6 +432,19 @@ def sample_reported_by_mask(confusion, true_outcomes, rng):
 
 # ---------------------------------------------------------------------------
 # per-shot batch routine: one statevector row per shot, no branching
+
+@dataclass
+class ShotRecord:
+    """Full classical record of a single shot."""
+
+    true_outcomes: list[int]
+    reported_outcomes: list[int]
+    lookup_indices: list[int]
+    mask: int
+    sign: int
+    discarded: bool
+    terminal_outcome: int | None
+
 
 def _apply_table(states, layer, lookup, n):
     for v in np.unique(lookup):
@@ -522,3 +596,60 @@ def per_shot_run(circuit, setting, shots, *, noise=None, weights=None, seed=0,
                               stream(seed, trial, b), dtype)
         total = part if total is None else total.merge(part)
     return total
+
+
+# ---------------------------------------------------------------------------
+# shot records of the branching simulator, read through spies
+
+def branching_batch(circuit, setting, size, noise, weights, rng, dtype):
+    """``simulator._run_batch`` on one batch, with the shot records that
+    ``per_shot_batch(..., collect=True)`` returns: (result, records).
+
+    The records are read off spies, not off the batch routine: each layer's
+    true outcomes from ``NoiseInjector.reports``, its consensus and
+    acceptance from ``simulator._consensus``, the masks and signs from
+    ``MitigationWeights.sample``, and the terminal outcome from the last
+    ``engine.measure(collapse=False)`` XOR the terminal model's ``sample``.
+    """
+    calls = {"reports": [], "consensus": [], "masks": [], "measure": [], "terminal": []}
+
+    def spy(key, method):
+        def wrapper(*args, **kwargs):
+            out = method(*args, **kwargs)
+            calls[key].append((args, kwargs, out))
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator.NoiseInjector, "reports",
+                   spy("reports", simulator.NoiseInjector.reports))
+        mp.setattr(simulator, "_consensus", spy("consensus", simulator._consensus))
+        mp.setattr(MitigationWeights, "sample", spy("masks", MitigationWeights.sample))
+        mp.setattr(engine, "measure", spy("measure", engine.measure))
+        if noise is not None and noise.terminal is not None:
+            mp.setattr(noise.terminal, "sample", spy("terminal", noise.terminal.sample))
+        result = simulator._run_batch(circuit, setting, size, noise, weights, rng, dtype,
+                                      simulator._compile(circuit))
+
+    trues = [args[3] for args, _, _ in calls["reports"]]  # (self, index, layer, true, ...)
+    reported = [consensus for _, _, (consensus, _) in calls["consensus"]]
+    accepted = np.ones(size, dtype=bool)
+    for _, _, (_, ok) in calls["consensus"]:
+        accepted &= ok
+    masks, signs = (calls["masks"][0][2] if calls["masks"] else
+                    (np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int8)))
+    lookups = [consensus ^ part for consensus, part
+               in zip(reported, split_index(masks, circuit.layer_widths))]
+    term = None
+    if setting.measured:
+        term = [out[1] for _, kwargs, out in calls["measure"] if not kwargs["collapse"]][-1]
+        for _, _, syndromes in calls["terminal"]:
+            term = term ^ syndromes
+    records = [ShotRecord(true_outcomes=[int(t[i]) for t in trues],
+                          reported_outcomes=[int(r[i]) for r in reported],
+                          lookup_indices=[int(v[i]) for v in lookups],
+                          mask=int(masks[i]), sign=int(signs[i]),
+                          discarded=not bool(accepted[i]),
+                          terminal_outcome=None if term is None else int(term[i]))
+               for i in range(size)]
+    return result, records

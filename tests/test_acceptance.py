@@ -9,7 +9,8 @@ import time
 import numpy as np
 from scipy import stats
 
-from oracles import perturbed_distribution, random_distribution
+from oracles import (perturbed_distribution, random_distribution,
+                     rep_majority_flip_rate, rep_unanimous_acceptance)
 from promkit import config as configmod
 from promkit import experiments, mitigation, oracle
 from promkit.bits import binary_convolve, fwht
@@ -24,6 +25,7 @@ from promkit.readout import (ConfusionMatrix, GeneralModel, LayeredModel,
 from promkit.simulator import NoiseInjector, estimate_observables, run_shots
 
 from test_engine import random_gates
+from test_experiments import setting_fidelity
 
 
 def report(num, label, ok, detail):
@@ -235,13 +237,13 @@ def test_criterion_08_ghz_suite():
     for b, p in [(2, 1), (3, 1), (2, 2)]:
         circuit = experiments.build_ghz_circuit(b, p)
         cx_ok = circuit.cx_count() == b * (p + 2) - 2
-        f_oracle = experiments.exact_ghz_fidelity(circuit)
-        model = UniformModel(circuit.m, 0.05)
-        noise = NoiseInjector(model=model)
-        f_raw, _, _ = experiments.run_ghz_fidelity(
-            circuit, shots, noise=noise, seed=808)
-        f_prom, err, _ = experiments.run_ghz_fidelity(
-            circuit, shots, noise=noise, weights=solve_weights(model), seed=809)
+        f_oracle = setting_fidelity(circuit)
+        cfg = {"experiment": "ghz", "parameters": {"b": b, "p": p}, "shots": shots,
+               "noise": {"kind": "uniform", "m": circuit.m, "rate": 0.05}}
+        raw, prom = [configmod.run_config({**cfg, "mitigation": mode, "seed": seed})
+                     ["record"]["trials"][0]["derived"]
+                     for mode, seed in (("none", 808), ("prom-tensored", 809))]
+        f_raw, f_prom, err = raw["fidelity"], prom["fidelity"], prom["fidelity_stderr"]
         good = (cx_ok and abs(f_oracle - 1.0) <= 1e-9
                 and f_raw < 0.98 and abs(f_prom - 1.0) <= 5 * err)
         ok &= good
@@ -297,13 +299,13 @@ def test_criterion_10_repetition_baselines():
     maj = experiments.apply_rep_strategy(cal, 3, "majority")
     res = run_shots(maj, maj.settings[0], shots, noise=noise, seed=1010)
     p_maj = res.layer_flip_counts[0][0] / res.accepted
-    want_maj = experiments.rep_majority_flip_rate(rate, 3)
+    want_maj = rep_majority_flip_rate(rate, 3)
     sigma_maj = np.sqrt(want_maj * (1 - want_maj) / res.accepted)
 
     una = experiments.apply_rep_strategy(cal, 2, "unanimous")
     res = run_shots(una, una.settings[0], shots, noise=noise, seed=1011)
     p_acc = res.accepted / res.shots
-    want_acc = experiments.rep_unanimous_acceptance(rate, 2)
+    want_acc = rep_unanimous_acceptance(rate, 2)
     sigma_acc = np.sqrt(want_acc * (1 - want_acc) / shots)
 
     ok = (abs(p_maj - want_maj) <= 5 * sigma_maj

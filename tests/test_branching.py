@@ -10,10 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_shot_batch, per_shot_run
+from oracles import branching_batch, per_shot_batch, per_shot_run
 from promkit import simulator
 from promkit.bits import stream
-from promkit.simulator import batch_size_for, run_shot, run_shots
+from promkit.simulator import batch_size_for, run_shots
 from strategies import runs
 
 
@@ -39,8 +39,8 @@ def test_branching_matches_per_shot(run, shots, seed):
     assert_results_equal(got, want)
 
     dtype = simulator._pick_dtype(circuit, setting)
-    got_result, got_records = simulator._run_batch(
-        circuit, setting, shots, noise, weights, stream(seed, 1), dtype, collect=True)
+    got_result, got_records = branching_batch(
+        circuit, setting, shots, noise, weights, stream(seed, 1), dtype)
     want_result, want_records = per_shot_batch(
         circuit, setting, shots, noise, weights, stream(seed, 1), dtype, collect=True)
     assert_results_equal(got_result, want_result)
@@ -48,7 +48,7 @@ def test_branching_matches_per_shot(run, shots, seed):
 
     mine, theirs = stream(seed, 2), stream(seed, 2)
     for _ in range(3):
-        record = run_shot(circuit, setting, mine, noise=noise, weights=weights)
+        record = branching_batch(circuit, setting, 1, noise, weights, mine, dtype)[1][0]
         assert record == per_shot_batch(circuit, setting, 1, noise, weights, theirs,
                                         dtype, collect=True)[1][0]
 

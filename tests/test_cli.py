@@ -350,13 +350,30 @@ def test_size_cap_statevector_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_size_cap_trials_times_settings_exits_3(tmp_path, capsys, monkeypatch):
-    # a run holds one job and one result per (trial, setting): reset has one
-    monkeypatch.setenv("PROMKIT_SIZE_CAP", "3")
+    # a run holds one job and one count table of the terminal outcomes per
+    # (trial, setting): reset n=1 has one setting of 3 terminal bits, so 8
+    # trials hold 2**6 entries and 9 trials hold more
+    monkeypatch.setenv("PROMKIT_SIZE_CAP", "6")
     cfg = reset_config(tmp_path, shots=10, trials=9)
     assert cli.main(["run", "--config", cfg]) == 3
-    assert "trials x settings needs 2**4" in capsys.readouterr().err
+    assert "trials x settings x terminal outcomes needs 2**7" in capsys.readouterr().err
     cfg = reset_config(tmp_path, shots=10, trials=8)
     assert cli.main(["run", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("cap, code, message", [
+    (8, 3, "stabilizer settings x gates needs 2**9"),
+    (11, 3, "trials x settings x terminal outcomes needs 2**12"),
+    (12, 0, ""),
+])
+def test_size_cap_ghz_settings_exit_3(tmp_path, capsys, monkeypatch, cap, code, message):
+    # GHZ(6) has 33 stabilizer settings of up to 12 basis gates each, and
+    # each setting's count table holds 2**6 terminal outcomes
+    monkeypatch.setenv("PROMKIT_SIZE_CAP", str(cap))
+    cfg = write(tmp_path, "cfg.json", {"experiment": "ghz", "parameters": {"b": 2, "p": 2},
+                                       "shots": 10})
+    assert cli.main(["run", "--config", cfg]) == code
+    assert message in capsys.readouterr().err
 
 
 def rep_layer_circuit(tmp_path, repeat):
@@ -416,7 +433,7 @@ def test_size_cap_uniform_noise_width_exits_3(tmp_path, capsys, command):
     ("reset", {"n": 5}, "feedforward table needs 2**5"),
     ("ghz", {"b": 5, "p": 1}, "feedforward table needs 2**4"),
     ("calibration", {"m": 4}, "feedforward table needs 2**4"),
-    ("ghz", {"b": 2, "p": 2}, "stabilizer settings needs 2**5"),
+    ("ghz", {"b": 2, "p": 2}, "stabilizer settings x gates needs 2**9"),
 ])
 def test_size_cap_tables_exit_3(tmp_path, capsys, monkeypatch, experiment, parameters,
                                 message):
@@ -435,6 +452,7 @@ def test_size_cap_tables_exit_3(tmp_path, capsys, monkeypatch, experiment, param
     ("ghz-unitary", {"n": 2 ** 63}),
     ("teleport", {"k": 2 ** 63}),
     ("transport", {"k": 2 ** 63}),
+    ("ghz", {"b": 2, "p": 9}),  # a GHZ(20): 2**19 settings
 ])
 def test_size_cap_huge_parameters_exit_3(tmp_path, capsys, experiment, parameters):
     """A builder checks its sizes before it loops over its parameter: these

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+import oracles
 from promkit import config, experiments, oracle
-from promkit.circuits import PauliString
-from promkit.mitigation import solve_weights
+from promkit.mitigation import GeneralWeights
 from promkit.readout import UniformModel
 from promkit.simulator import NoiseInjector, estimate_observables, run_shots
+
+
+def setting_fidelity(circuit) -> float:
+    """The circuit's exact aggregate: its scale times the sum of the
+    oracle's ideal values of every setting's observables."""
+    obs = [ob for s in circuit.settings for ob in oracle.exact_setting_observables(s)]
+    tensor = oracle.exact_trajectory_tensor(circuit, obs)
+    return circuit.aggregate[1] * sum(tensor.ideal(b) for b in range(len(obs)))
 
 
 class TestResetCircuit:
@@ -45,14 +53,14 @@ class TestGhz:
 
     @pytest.mark.parametrize("b,p", [(2, 1), (3, 1), (2, 2)])
     def test_noiseless_fidelity(self, b, p):
-        assert experiments.exact_ghz_fidelity(
+        assert setting_fidelity(
             experiments.build_ghz_circuit(b, p)) == pytest.approx(1.0, abs=1e-9)
 
     def test_unitary_fanout(self):
         c = experiments.build_unitary_ghz(4)
         assert c.cx_count() == 3
         assert c.m == 0
-        assert experiments.exact_ghz_fidelity(c) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.exact_ghz_fidelity(c) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary_depth_advantage(self):
         # the merge construction keeps two-qubit depth bounded by the block
@@ -63,19 +71,19 @@ class TestGhz:
         assert merged.two_qubit_depth() < unitary.two_qubit_depth()
 
     def test_stabilizers(self):
-        stabs = experiments.ghz_stabilizers(2)
+        stabs = oracles.ghz_stabilizers(2)
         labels = [(s.sign, s.label) for s in stabs]
         assert (1, "II") in labels
         assert (1, "ZZ") in labels
         assert (1, "XX") in labels
         assert (-1, "YY") in labels
         assert len(stabs) == 4
-        assert len(experiments.ghz_stabilizers(4)) == 16
+        assert len(oracles.ghz_stabilizers(4)) == 16
 
     def test_stabilizer_expectations_on_ghz(self):
         c = experiments.build_unitary_ghz(3)
         stabs = [(s.label + ("-" if s.sign < 0 else ""), s)
-                 for s in experiments.ghz_stabilizers(3)]
+                 for s in oracles.ghz_stabilizers(3)]
         t = oracle.exact_trajectory_tensor(c, stabs)
         for b in range(len(stabs)):
             assert t.ideal(b) == pytest.approx(1.0, abs=1e-12)
@@ -91,15 +99,17 @@ class TestGhz:
         assert total == 2 ** n
 
     def test_fidelity_helper(self):
-        assert experiments.ghz_fidelity([1.0] * 8) == pytest.approx(1.0)
-        assert experiments.ghz_fidelity([1, 1, 1, 1, 0, 0, 0, 0]) == pytest.approx(0.5)
+        assert oracles.ghz_fidelity([1.0] * 8) == pytest.approx(1.0)
+        assert oracles.ghz_fidelity([1, 1, 1, 1, 0, 0, 0, 0]) == pytest.approx(0.5)
 
     def test_shot_fidelity_noiseless(self):
         c = experiments.build_ghz_circuit(2, 1)
-        f, err, results = experiments.run_ghz_fidelity(c, 1500, seed=2)
+        trial = config.run_config({"experiment": "ghz", "parameters": {"b": 2, "p": 1},
+                                   "shots": 1500, "seed": 2})["record"]["trials"][0]
+        f, err = trial["derived"]["fidelity"], trial["derived"]["fidelity_stderr"]
         assert f == pytest.approx(1.0, abs=1e-9)
         assert err == 0.0
-        assert len(results) == 2 ** (c.n - 1) + 1
+        assert len(trial["settings"]) == 2 ** (c.n - 1) + 1
 
     def test_mixed_state_fidelity_floor(self):
         # a maximally mixed input gives F = 2^-n: only the identity counts
@@ -109,7 +119,7 @@ class TestGhz:
         for s in settings:
             for name, ob in s.observables:
                 vals.append(1.0 if set(name.strip("-")) == {"I"} else 0.0)
-        assert experiments.ghz_fidelity(vals) == pytest.approx(2.0 ** -n)
+        assert oracles.ghz_fidelity(vals) == pytest.approx(2.0 ** -n)
 
     def test_circuits_carry_stabilizer_settings(self):
         for c in (experiments.build_ghz_circuit(2, 2), experiments.build_unitary_ghz(4)):
@@ -117,7 +127,7 @@ class TestGhz:
             assert len(c.settings) == 2 ** (c.n - 1) + 1
             observed = [ob for s in c.settings for _, ob in s.observables]
             assert ([(ob.sign, ob.label) for ob in observed]
-                    == [(ob.sign, ob.label) for ob in experiments.ghz_stabilizers(c.n)])
+                    == [(ob.sign, ob.label) for ob in oracles.ghz_stabilizers(c.n)])
 
     def test_settings_match_pauli_bases(self):
         for s in experiments.ghz_stabilizer_settings(4)[1:]:
@@ -192,16 +202,16 @@ class TestRepStrategies:
         assert all(layer.repeat == 1 for layer in c.layers)
 
     def test_closed_forms(self):
-        assert experiments.rep_majority_flip_rate(0.1, 3) == pytest.approx(0.028)
-        assert experiments.rep_unanimous_acceptance(0.1, 2) == pytest.approx(0.82)
-        assert experiments.rep_majority_flip_rate(0.0, 5) == 0.0
-        assert experiments.rep_unanimous_acceptance(0.0, 4) == 1.0
+        assert oracles.rep_majority_flip_rate(0.1, 3) == pytest.approx(0.028)
+        assert oracles.rep_unanimous_acceptance(0.1, 2) == pytest.approx(0.82)
+        assert oracles.rep_majority_flip_rate(0.0, 5) == 0.0
+        assert oracles.rep_unanimous_acceptance(0.0, 4) == 1.0
 
     def test_majority_rate_matches_binomial_tail(self):
         from scipy import stats
         r, rep = 0.07, 5
         want = stats.binom.sf(rep // 2, rep, r)
-        assert experiments.rep_majority_flip_rate(r, rep) == pytest.approx(want)
+        assert oracles.rep_majority_flip_rate(r, rep) == pytest.approx(want)
 
 
 class TestCalibration:
@@ -223,7 +233,7 @@ class TestCalibration:
         model = UniformModel(1, 0.12)
         noise = NoiseInjector(model=model)
         q_hat = experiments.run_calibration(1, 300_000, noise=noise, seed=4)
-        w = solve_weights(q_hat)
+        w = GeneralWeights(q_hat)
         c = experiments.build_reset_circuit(1)
         res = run_shots(c, c.settings[0], 50_000, noise=noise, weights=w, seed=5)
         est = estimate_observables(res)[0]

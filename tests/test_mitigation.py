@@ -80,8 +80,10 @@ def test_solve_weights_dispatch():
                       mitigation.TensoredWeights)
     assert isinstance(mitigation.solve_weights(readout.TensoredModel([0.1])),
                       mitigation.TensoredWeights)
-    assert isinstance(mitigation.solve_weights([0.9, 0.1]),
-                      mitigation.GeneralWeights)
+    # a bare distribution is not a model: wrap it in GeneralModel, or
+    # build GeneralWeights from it
+    with pytest.raises(TypeError, match="list"):
+        mitigation.solve_weights([0.9, 0.1])
 
 
 def test_mask_sampling_distribution():

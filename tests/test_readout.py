@@ -3,22 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_distribution
+from oracles import marginalize, random_distribution
 from promkit import readout
 from promkit.bits import fwht
 
 
 def test_eigenvalues_are_fwht():
-    q = [0.9, 0.1]
-    assert np.allclose(readout.eigenvalues(q), fwht(q))
-    assert np.allclose(readout.eigenvalues(q), [1.0, 0.8])
+    # the Walsh spectrum of q is the spectrum of Q[s, t] = q[s ^ t]
+    q = np.array([0.7, 0.1, 0.15, 0.05])
+    idx = np.arange(q.size)
+    dense = np.linalg.eigvalsh(q[idx[:, None] ^ idx[None, :]])
+    assert np.allclose(np.sort(fwht(q)), dense)
+    assert np.allclose(fwht([0.9, 0.1]), [1.0, 0.8])
 
 
 def test_eigenvalue_odd_mass_identity():
     # lambda_k = 1 - 2 * (mass of syndromes with odd overlap with k)
     rng = np.random.default_rng(0)
     q = random_distribution(rng, 16)
-    lam = readout.eigenvalues(q)
+    lam = fwht(q)
     for k in range(16):
         odd = sum(q[s] for s in range(16) if bin(k & s).count("1") % 2)
         assert lam[k] == pytest.approx(1.0 - 2.0 * odd, abs=1e-12)
@@ -53,17 +56,17 @@ def test_symmetrize_general_property():
 
 def test_marginalize():
     q = np.array([0.8, 0.0, 0.0, 0.2])
-    assert np.allclose(readout.marginalize(q, [0]), [0.8, 0.2])
-    assert np.allclose(readout.marginalize(q, [1]), [0.8, 0.2])
+    assert np.allclose(marginalize(q, [0]), [0.8, 0.2])
+    assert np.allclose(marginalize(q, [1]), [0.8, 0.2])
     # keeping both bits in order is the identity
-    assert np.allclose(readout.marginalize(q, [0, 1]), q)
+    assert np.allclose(marginalize(q, [0, 1]), q)
 
 
 def test_marginalize_reorders_bits():
     rng = np.random.default_rng(7)
     q = rng.random(8)
     q /= q.sum()
-    swapped = readout.marginalize(q, [1, 0, 2])
+    swapped = marginalize(q, [1, 0, 2])
     for s in range(8):
         b = [(s >> 2) & 1, (s >> 1) & 1, s & 1]
         src = (b[1] << 2) | (b[0] << 1) | b[2]

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import per_shot_batch, per_shot_run
+from oracles import branching_batch, per_shot_batch, per_shot_run
 from promkit import config, engine, experiments, simulator
 from promkit.bits import stream
 from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
@@ -16,7 +16,7 @@ from promkit.mitigation import TensoredWeights, solve_weights
 from promkit.readout import (ConfusionMatrix, GeneralModel, TensoredModel, UniformModel,
                              calibrate)
 from promkit.simulator import (NoiseInjector, RunResult, batch_size_for,
-                               estimate_observables, run_settings, run_shot, run_shots,
+                               estimate_observables, run_settings, run_shots,
                                signed_estimate)
 
 
@@ -67,9 +67,10 @@ def test_shot_record_fields_consistent():
     model = UniformModel(1, 0.3)
     w = solve_weights(model)
     rng = stream(123, 0, 0)
+    dtype = simulator._pick_dtype(c, c.settings[0])
     for _ in range(50):
-        rec = run_shot(c, c.settings[0], rng, noise=NoiseInjector(model=model),
-                       weights=w)
+        rec = branching_batch(c, c.settings[0], 1, NoiseInjector(model=model), w, rng,
+                              dtype)[1][0]
         assert rec.lookup_indices[0] == rec.reported_outcomes[0] ^ rec.mask
         assert rec.sign in (-1, 1)
         assert not rec.discarded
@@ -97,7 +98,9 @@ def test_estimates_match_per_shot_records():
 
     values = c.settings[0].value_table()[0][1]
     rng = stream(77, 0, 0)  # the single batch's stream
-    recs = [run_shot(c, c.settings[0], rng, noise=noise, weights=w) for _ in range(shots)]
+    dtype = simulator._pick_dtype(c, c.settings[0])
+    recs = [branching_batch(c, c.settings[0], 1, noise, w, rng, dtype)[1][0]
+            for _ in range(shots)]
     o = w.xi * np.array([values[rec.terminal_outcome] * rec.sign for rec in recs])
     # same channel and estimator, independent sampling path: agreement in
     # distribution, not bitwise — compare within combined standard errors
@@ -197,11 +200,11 @@ def test_merge_accumulates():
     c = reset_circuit()
     a = run_shots(c, c.settings[0], 1000, seed=1)
     b = run_shots(c, c.settings[0], 500, seed=2)
-    total_counts = a.counts + b.counts
+    total_counts = a.signed_counts.sum(axis=0) + b.signed_counts.sum(axis=0)
     merged = a.merge(b)
     assert merged.shots == 1500
     assert merged.accepted == 1500
-    assert np.array_equal(merged.counts, total_counts)
+    assert np.array_equal(merged.signed_counts.sum(axis=0), total_counts)
 
 
 def test_batch_size_for():
@@ -450,8 +453,7 @@ def test_both_table_forms_give_the_per_shot_records(monkeypatch, fallback, bfa):
     assert set(widths) == {16 if fallback else 4, 8}
 
     dtype = simulator._pick_dtype(circuit, setting)
-    _, records = simulator._run_batch(circuit, setting, 500, noise, weights, stream(4, 1),
-                                      dtype, collect=True)
+    _, records = branching_batch(circuit, setting, 500, noise, weights, stream(4, 1), dtype)
     assert records == per_shot_batch(circuit, setting, 500, noise, weights, stream(4, 1),
                                      dtype, collect=True)[1]
 
