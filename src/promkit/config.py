@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import inspect
 import json
 import math
 import numbers
@@ -36,11 +37,10 @@ class ConfigError(ValueError):
     """The configuration violates the schema."""
 
 
-_TOP_KEYS = {"experiment", "parameters", "noise", "mitigation", "terminal_rem",
-             "shots", "trials", "seed", "out"}
 _DEFAULTS = {"parameters": {}, "noise": None, "mitigation": "none",
              "terminal_rem": False, "shots": 10000, "trials": 1, "seed": 0,
              "out": None}
+_TOP_KEYS = set(_DEFAULTS) | {"experiment"}
 
 
 def read_json(path, what: str):
@@ -123,12 +123,6 @@ def validate_config(raw: dict) -> dict:
 # ---------------------------------------------------------------------------
 # circuits
 
-def _param(params: dict, key: str, default=None, required: bool = False):
-    if required and key not in params:
-        raise ConfigError(f"experiment parameter '{key}' is required")
-    return params.get(key, default)
-
-
 def _integer(value, what: str) -> int:
     """``value`` as an int: an integer, or a float with no fractional part."""
     if (isinstance(value, bool) or not isinstance(value, (numbers.Integral, float))
@@ -188,52 +182,6 @@ def _real_table(values, what: str, ndim: int) -> np.ndarray:
         if bool in set(map(type, rows[i])):
             _reals(rows[i], what)
     return table if ndim == 2 else table[0]
-
-
-def _int_param(params: dict, key: str, default=None, required: bool = False) -> int:
-    return _integer(_param(params, key, default, required), f"experiment parameter '{key}'")
-
-
-def _real_param(params: dict, key: str, default: float) -> float:
-    return _real(_param(params, key, default), f"experiment parameter '{key}'")
-
-
-_PARAMETERS = {"reset": ("n",), "ghz": ("b", "p"), "ghz-unitary": ("n",),
-               "teleport": ("k", "phi_x", "phi_z"), "transport": ("k", "phi_x", "phi_z"),
-               "calibration": ("m",), "custom": ("path",)}
-
-
-def build_circuit(experiment: str, parameters: dict) -> DynamicCircuit:
-    """Instantiate the named experiment; 'custom' loads a circuit file."""
-    if experiment in _PARAMETERS:
-        _known(parameters, _PARAMETERS[experiment], f"'{experiment}' parameter")
-    try:
-        if experiment == "reset":
-            return experiments.build_reset_circuit(_int_param(parameters, "n", 1))
-        if experiment == "ghz":
-            return experiments.build_ghz_circuit(_int_param(parameters, "b", required=True),
-                                                 _int_param(parameters, "p", required=True))
-        if experiment == "ghz-unitary":
-            return experiments.build_unitary_ghz(_int_param(parameters, "n", required=True))
-        if experiment == "teleport":
-            return experiments.build_teleport_circuit(
-                _int_param(parameters, "k", required=True),
-                _real_param(parameters, "phi_x", np.pi / 8),
-                _real_param(parameters, "phi_z", 3 * np.pi / 8))
-        if experiment == "transport":
-            return experiments.build_unitary_transport(
-                _int_param(parameters, "k", required=True),
-                _real_param(parameters, "phi_x", np.pi / 8),
-                _real_param(parameters, "phi_z", 3 * np.pi / 8))
-        if experiment == "calibration":
-            return experiments.build_calibration_circuit(_int_param(parameters, "m", required=True))
-        if experiment == "custom":
-            return load_circuit_file(_param(parameters, "path", required=True))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for '{experiment}': {exc}") from exc
-    raise ConfigError(f"unknown experiment '{experiment}'")
 
 
 _FIXED_GATES = {"h": h, "x": x, "y": y, "z": z, "s": s, "sdg": sdg}
@@ -309,6 +257,37 @@ def load_circuit_file(path: str) -> DynamicCircuit:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad circuit file {path}: {exc}") from exc
+
+
+_COERCE = {"int": _integer, "float": _real, "str": lambda value, what: value}
+# experiment -> (builder, {parameter: (coerce, required)}), read once from the builders'
+# signatures: the annotation picks the coercion; no default means required
+_BUILDERS = {name: (builder, {key: (_COERCE[p.annotation], p.default is p.empty)
+                              for key, p in inspect.signature(builder).parameters.items()})
+             for name, builder in {**experiments.EXPERIMENTS,
+                                   "custom": load_circuit_file}.items()}
+
+
+def build_circuit(experiment: str, parameters: dict) -> DynamicCircuit:
+    """Instantiate the named experiment; 'custom' loads a circuit file."""
+    if experiment not in _BUILDERS:
+        raise ConfigError(f"unknown experiment '{experiment}'")
+    builder, spec = _BUILDERS[experiment]
+    _known(parameters, spec, f"'{experiment}' parameter")
+    arguments = {}
+    for key, (coerce, required) in spec.items():
+        if key in parameters:
+            arguments[key] = coerce(parameters[key], f"experiment parameter '{key}'")
+        elif required:
+            raise ConfigError(f"experiment parameter '{key}' is required")
+    try:
+        circuit = builder(**arguments)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameters for '{experiment}': {exc}") from exc
+    check_size(circuit.n, "statevector")  # a circuit file's too, before any loop over n
+    return circuit
 
 
 # ---------------------------------------------------------------------------

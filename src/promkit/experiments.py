@@ -8,6 +8,11 @@ settings.  The GHZ builders also carry the stabilizer settings and the
 reports it as ``scale`` times the sum of the settings' estimates, and the
 exact value is ``scale`` times the sum of the oracle's ideal values of
 every setting's observables.
+
+``EXPERIMENTS`` maps each config experiment name to its builder, whose
+signature is the one statement of the experiment's parameters: each name is
+a config key, its annotation (``int`` or ``float``) says how ``config``
+coerces the value, and a parameter with no default is required.
 """
 from __future__ import annotations
 
@@ -30,17 +35,17 @@ from .simulator import NoiseInjector, run_shots
 SPECTATOR_ANGLE = 1.1
 
 
-def build_reset_circuit(n_system: int = 1) -> DynamicCircuit:
+def build_reset_circuit(n: int = 1) -> DynamicCircuit:
     """Prepare n system qubits in |+>, measure them all, and X-feedback to |0...0>.
 
     Two spectator qubits are rotated by ``SPECTATOR_ANGLE`` and un-rotated
     after the feedforward fires; their |00> projector witnesses that the
     classical round leaves untouched qubits alone.
     """
-    check_size(n_system, "feedforward table")  # both before any loop over the qubits
-    check_size(n_system + 2, "statevector")
-    spec0, spec1 = n_system, n_system + 1
-    system = tuple(range(n_system))
+    check_size(n, "feedforward table")  # both before any loop over the qubits
+    check_size(n + 2, "statevector")
+    spec0, spec1 = n, n + 1
+    system = tuple(range(n))
     prep = (tuple(h(q) for q in system)
             + (ry(SPECTATOR_ANGLE, spec0), ry(SPECTATOR_ANGLE, spec1)))
     layer = FeedforwardLayer(
@@ -50,11 +55,11 @@ def build_reset_circuit(n_system: int = 1) -> DynamicCircuit:
     )
     setting = TerminalSetting(
         name="projectors",
-        measured=tuple(range(n_system + 2)),
+        measured=tuple(range(n + 2)),
         observables=(("system_zeros", ZeroProjector(system)),
                      ("spectator_zeros", ZeroProjector((spec0, spec1)))),
     )
-    return DynamicCircuit(n=n_system + 2, prep=prep, layers=(layer,), settings=(setting,))
+    return DynamicCircuit(n=n + 2, prep=prep, layers=(layer,), settings=(setting,))
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +277,11 @@ def run_calibration(m: int, shots: int, *, noise: NoiseInjector,
     result = run_shots(circuit, circuit.settings[0], shots,
                        noise=replace(noise, terminal=None), seed=seed, workers=workers)
     return calibrate(result.layer_reported_counts[0])
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+EXPERIMENTS = {"reset": build_reset_circuit, "ghz": build_ghz_circuit,
+               "ghz-unitary": build_unitary_ghz, "teleport": build_teleport_circuit,
+               "transport": build_unitary_transport, "calibration": build_calibration_circuit}

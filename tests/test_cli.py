@@ -620,6 +620,27 @@ ONE_LAYER = {"n": 1, "layers": [{"measured": [0], "table": [[], [["x", 0]]]}],
                            "observables": [{"name": "z", "pauli": "Z"}]}]}
 
 
+@pytest.mark.parametrize("command", ["run", "oracle", "bench", "calibrate"])
+@pytest.mark.parametrize("n", [2 ** 70, 1e308], ids=["2**70", "1e308"])
+def test_size_cap_circuit_file_qubits_exit_3(tmp_path, capsys, command, n):
+    """A circuit file's qubit count meets the statevector cap before anything
+    loops over its qubits: run and bench used to spend seconds in a loop over
+    n and end in a MemoryError, and calibrate ran."""
+    cfg = dict(custom_config(tmp_path, {**ONE_LAYER, "n": n}),
+               noise={"kind": "uniform", "m": 1, "rate": 0.1})
+    path = write(tmp_path, "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: size cap: statevector needs 2**") and err.count("\n") == 1
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("cfg, circuit", [
     # a misspelt key used to be ignored: n=1, the default phi_x, no terminal
     # channel, no post gates

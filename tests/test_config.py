@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
-from promkit import config
+from promkit import config, experiments
 from promkit.mitigation import GeneralWeights, LayeredWeights, TensoredWeights
 from promkit.readout import (ConfusionMatrix, GeneralModel, LayeredModel, TensoredModel,
                              UniformModel, symmetrize)
@@ -61,6 +63,32 @@ class TestSchema:
     def test_missing_required_parameter(self):
         with pytest.raises(config.ConfigError, match="required"):
             config.build_circuit("ghz", {"b": 2})
+
+
+# a small value for every required parameter of a built-in experiment
+REQUIRED_VALUES = {"n": 3, "b": 2, "p": 1, "k": 2, "m": 2}
+
+
+def prep_gates(circuit):
+    return [(g.name, g.qubits, None if g.matrix is None else g.matrix.tobytes())
+            for g in circuit.prep]
+
+
+@pytest.mark.parametrize("name, builder", experiments.EXPERIMENTS.items())
+def test_registry_builds_what_the_builder_builds(name, builder):
+    """``build_circuit`` passes the builder only the parameters it is given,
+    so every default (the teleport input angles among them) comes from the
+    builder's signature, and each parameter name is a config key."""
+    required = {key: REQUIRED_VALUES[key]
+                for key, p in inspect.signature(builder).parameters.items()
+                if p.default is p.empty}
+    built, direct = config.build_circuit(name, required), builder(**required)
+    assert (built.n, built.m) == (direct.n, direct.m)
+    assert [s.name for s in built.settings] == [s.name for s in direct.settings]
+    assert prep_gates(built) == prep_gates(direct)
+    with pytest.raises(config.ConfigError,
+                       match=re.escape(f"unknown '{name}' parameter keys: ['bogus']")):
+        config.build_circuit(name, {**required, "bogus": 1})
 
 
 class TestNoiseSpecs:

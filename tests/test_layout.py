@@ -1,5 +1,5 @@
-"""Layout guard: code in ``src/promkit`` that only tests call belongs in
-``tests/``.
+"""Layout guards: code in ``src/promkit`` that only tests call belongs in
+``tests/``, and only ``experiments`` names the experiments.
 
 Every module-level function and class of the package must be named at
 least twice across the package's modules (``__init__.py`` aside, since its
@@ -11,6 +11,8 @@ module and name).
 import ast
 from collections import Counter
 from pathlib import Path
+
+from promkit import experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "promkit"
@@ -46,3 +48,17 @@ def test_every_package_definition_has_a_use_outside_tests():
     assert defined, "no definitions found"
     unused = sorted(f"{module}: {name}" for module, name in defined if named[name] < 2)
     assert not unused, f"defined in src/promkit but used only by tests: {unused}"
+
+
+def test_config_and_cli_name_no_experiment():
+    """Each experiment describes itself in ``experiments.EXPERIMENTS``, so
+    ``config`` and ``cli`` name none of them, as a string or as a keyword.
+    ``config`` keys its own circuit-file reader ``custom``, which is not in
+    that table."""
+    names = set(experiments.EXPERIMENTS)
+    for path in (PACKAGE / "config.py", PACKAGE / "cli.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        found |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+        assert not found & names, f"{path.name} names {sorted(found & names)}"
