@@ -11,7 +11,7 @@ import time
 
 from promkit.config import run_config
 from promkit.experiments import build_ghz_circuit, build_unitary_ghz
-from promkit.oracle import exact_setting_observables, exact_trajectory_tensor
+from promkit.oracle import exact_trajectory_tensor
 
 SHOTS_PER_SETTING = 20_000
 RATE = 0.05
@@ -23,9 +23,8 @@ for b, p in [(2, 1), (3, 1), (2, 2)]:
     print(f"  resources: {circuit.cx_count()} CX, {circuit.m} measured ancilla(s); "
           f"two-qubit depth {circuit.two_qubit_depth()} vs "
           f"{unitary.two_qubit_depth()} for the fan-out circuit")
-    stabilizers = [ob for s in circuit.settings for ob in exact_setting_observables(s)]
-    tensor = exact_trajectory_tensor(circuit, stabilizers)
-    exact = circuit.aggregate[1] * sum(tensor.ideal(i) for i in range(len(stabilizers)))
+    tensor = exact_trajectory_tensor(circuit)
+    exact = circuit.aggregate[1] * sum(tensor.ideal(b) for b in range(len(tensor.tensor)))
     print(f"  exact fidelity of the noiseless construction: {exact:.12f}")
 
     cfg = {"experiment": "ghz", "parameters": {"b": b, "p": p}, "shots": SHOTS_PER_SETTING,

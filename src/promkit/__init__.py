@@ -26,7 +26,7 @@ from .mitigation import (GeneralWeights, LayeredWeights, MitigationWeights,
                          UniformWeights, overhead_bound, project_nonnegative,
                          raw_error_bound, sensitivity_bound, shot_budget,
                          solve_weights, terminal_rem)
-from .oracle import TrajectoryTensor, exact_setting_observables, exact_trajectory_tensor
+from .oracle import TrajectoryTensor, exact_trajectory_tensor
 from .readout import (ConfusionMatrix, GeneralModel, LayeredModel,
                       SyndromeModel, TensoredModel, UniformModel, calibrate,
                       symmetrize, total_error, total_variation_distance)
@@ -54,7 +54,7 @@ __all__ = [
     "overhead_bound", "project_nonnegative", "raw_error_bound",
     "sensitivity_bound", "shot_budget", "solve_weights", "terminal_rem",
     # oracle
-    "TrajectoryTensor", "exact_setting_observables", "exact_trajectory_tensor",
+    "TrajectoryTensor", "exact_trajectory_tensor",
     # readout
     "ConfusionMatrix", "GeneralModel", "LayeredModel", "SyndromeModel",
     "TensoredModel", "UniformModel", "calibrate", "symmetrize", "total_error",

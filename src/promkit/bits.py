@@ -34,7 +34,8 @@ def size_cap() -> int:
 def check_size(m: int, what: str = "array") -> None:
     cap = size_cap()
     if m > cap:
-        raise SizeCapError(f"{what} needs 2**{m} entries; cap is 2**{cap} "
+        need = f"2**{m}" if m <= 64 else "2**64 or more"
+        raise SizeCapError(f"{what} needs {need} entries; cap is 2**{cap} "
                            f"(set PROMKIT_SIZE_CAP to raise it)")
 
 

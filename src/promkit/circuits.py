@@ -148,11 +148,11 @@ def xor_feedback_table(qubits: tuple[int, ...]) -> tuple[tuple[Gate, ...], ...]:
 
 
 class Observable:
-    """Hermitian observable, diagonal after its basis gates.
+    """Hermitian observable, diagonal after its setting's basis gates.
 
-    Shots and the exact oracle both read it one way: rotate by
-    ``basis_gates``, measure (at least) the ``support``, and weight each
-    outcome by ``values_on_outcomes``.
+    The setting owns the basis change: shots and the exact oracle both rotate
+    by its ``basis_gates``, measure its qubits (which cover the ``support``),
+    and weight each outcome by ``values_on_outcomes``.
     """
 
     support: tuple[int, ...]
@@ -161,13 +161,9 @@ class Observable:
         """Spectral norm."""
         raise NotImplementedError
 
-    def basis_gates(self) -> tuple[Gate, ...]:
-        """Gates rotating the observable's eigenbasis to the computational basis."""
-        raise NotImplementedError
-
     def values_on_outcomes(self, measured: tuple[int, ...]) -> np.ndarray:
         """Eigenvalue for every outcome index of a terminal measurement of
-        ``measured`` (which must cover the support), *after* basis_gates."""
+        ``measured`` (which must cover the support), after the basis change."""
         raise NotImplementedError
 
 
@@ -249,9 +245,6 @@ class ZeroProjector(Observable):
 
     def norm2(self) -> float:
         return 1.0
-
-    def basis_gates(self) -> tuple[Gate, ...]:
-        return ()
 
     def values_on_outcomes(self, measured) -> np.ndarray:
         k = len(measured)

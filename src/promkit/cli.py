@@ -87,9 +87,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     alpha = GeneralWeights(q).alpha()
 
     # one walk of the circuit for the observables of every setting
-    tensor = oracle.exact_trajectory_tensor(
-        circuit, [ob for setting in circuit.settings
-                  for ob in oracle.exact_setting_observables(setting)])
+    tensor = oracle.exact_trajectory_tensor(circuit)
     settings_out, b = [], 0
     for setting in circuit.settings:
         entries = []

@@ -14,11 +14,12 @@ exactly:
   weights make equal to the ideal value (the identity the acceptance suite
   checks to 1e-9).
 
-One walk of the trajectory tree serves any number of observables, so the
-observables of every terminal setting of a circuit go into one call; each is
-read as a shot reads it, as a diagonal ``Read`` after basis gates.  The walk
-shares the shot engine's row layout and kernels (``apply_gates``,
-``blocks``, ``expand``) but none of its sampling, and runs in complex128.
+One walk of the trajectory tree reads every observable of every terminal
+setting, as a shot reads it: at each leaf a setting rotates the rows by its
+basis gates and forms its outcome distribution once, and each observable
+weights that distribution by its values.  The walk shares the shot engine's
+row layout and kernels (``apply_gates``, ``blocks``, ``expand``) but none of
+its sampling, and runs in complex128.
 """
 from __future__ import annotations
 
@@ -28,8 +29,7 @@ import numpy as np
 
 from . import engine
 from .bits import SizeCapError, binary_convolve, check_size
-from .circuits import DynamicCircuit, Gate
-from .mitigation import MitigationWeights
+from .circuits import DynamicCircuit
 
 MAX_N = 12
 MAX_M = 6
@@ -39,7 +39,6 @@ MAX_M = 6
 class TrajectoryTensor:
     tensor: np.ndarray           # (B, 2**m, 2**m) real
     branch_probs: np.ndarray     # (2**m,) true-outcome probabilities (no errors)
-    names: list[str]
     n: int
     m: int
 
@@ -61,34 +60,25 @@ class TrajectoryTensor:
         """Expectation under syndrome channel q with fixed mask f."""
         return float(self.per_mask(b, q)[f])
 
-    def mitigated(self, b: int, q, weights) -> float:
+    def mitigated(self, b: int, q, alpha) -> float:
         """Mean of the mask-sampled estimator: sum_f alpha[f] * masked(b, f, q)."""
-        alpha = weights.alpha() if isinstance(weights, MitigationWeights) else np.asarray(weights)
+        alpha = np.asarray(alpha)
         if alpha.size != self.tensor.shape[1]:
             raise ValueError("alpha length must be 2**m")
         return float(alpha @ self.per_mask(b, q))
 
 
-@dataclass(frozen=True)
-class Read:
-    """A diagonal read: sum_t |(U psi)_t|^2 values[t], with U the ``gates``
-    and t the outcome of the ``measured`` qubits (bit 0 the first listed)."""
+def exact_trajectory_tensor(circuit: DynamicCircuit) -> TrajectoryTensor:
+    """Enumerate all trajectories of ``circuit`` against the observables of
+    its settings.
 
-    gates: tuple[Gate, ...]
-    measured: tuple[int, ...]
-    values: np.ndarray
-
-
-def exact_trajectory_tensor(circuit: DynamicCircuit, observables) -> TrajectoryTensor:
-    """Enumerate all trajectories of ``circuit`` against ``observables``.
-
-    ``observables`` is a list of (name, Read or Observable).  The walk holds
-    one unnormalized row per true-outcome history s, at most 2**m rows of
-    2**n amplitudes, and recurses over the lookup values v; it is exact and
-    exhaustive (4**m leaf branches), so the circuit must fit ``MAX_N``
-    qubits and ``MAX_M`` measured bits.
+    Index b of the tensor runs over the settings in order, then over each
+    setting's observables.  The walk holds one unnormalized row per
+    true-outcome history s, at most 2**m rows of 2**n amplitudes, and
+    recurses over the lookup values v; it is exact and exhaustive (4**m leaf
+    branches), so the circuit must fit ``MAX_N`` qubits and ``MAX_M``
+    measured bits.
     """
-    obs = list(observables)
     n, m = circuit.n, circuit.m
     if n > MAX_N:
         raise SizeCapError(f"oracle capped at {MAX_N} qubits, circuit has {n}")
@@ -98,23 +88,24 @@ def exact_trajectory_tensor(circuit: DynamicCircuit, observables) -> TrajectoryT
         if layer.repeat != 1:
             raise ValueError("exact oracle does not model QND repetition")
     check_size(n + m, "oracle rows")
-    # a bare Observable reads its support after its own basis gates
-    reads = [ob if isinstance(ob, Read) else
-             Read(ob.basis_gates(), ob.support, ob.values_on_outcomes(ob.support))
-             for _, ob in obs]
+    reads = [(setting, [values for _, values in setting.value_table()])
+             for setting in circuit.settings]
 
     k = 1 << m
-    tensor = np.zeros((len(reads), k, k))
+    tensor = np.zeros((sum(len(values) for _, values in reads), k, k))
     probs = np.zeros(k)
 
     def walk(rows, s_acc, li, v_acc):
         if li == len(circuit.layers):
             hit = s_acc == v_acc
             probs[s_acc[hit]] = np.square(np.abs(rows[hit])).sum(axis=1)
-            for b, read in enumerate(reads):
-                rotated = engine.apply_gates(rows.copy(), read.gates, n)
-                t = np.square(np.abs(engine.blocks(rotated, read.measured, n)))
-                tensor[b, s_acc, v_acc] = t.sum(axis=2) @ read.values
+            b = 0
+            for setting, values in reads:
+                rotated = engine.apply_gates(rows.copy(), setting.basis_gates, n)
+                dist = np.square(np.abs(engine.blocks(rotated, setting.measured, n))).sum(axis=2)
+                for v in values:
+                    tensor[b, s_acc, v_acc] = dist @ v
+                    b += 1
             return
         layer = circuit.layers[li]
         t = engine.blocks(engine.apply_gates(rows, layer.pre_gates, n), layer.measured, n)
@@ -127,13 +118,4 @@ def exact_trajectory_tensor(circuit: DynamicCircuit, observables) -> TrajectoryT
 
     init = engine.apply_gates(engine.zero_states(1, n), circuit.prep, n)
     walk(init, np.zeros(1, dtype=np.int64), 0, 0)
-    return TrajectoryTensor(tensor=tensor, branch_probs=probs,
-                            names=[name for name, _ in obs], n=n, m=m)
-
-
-def exact_setting_observables(setting) -> list[tuple[str, Read]]:
-    """Oracle reads of a terminal setting's observables: each reads its
-    values off the setting's measured qubits after the setting's basis
-    gates, as a shot does, without sampling."""
-    return [(name, Read(setting.basis_gates, setting.measured, values))
-            for name, values in setting.value_table()]
+    return TrajectoryTensor(tensor=tensor, branch_probs=probs, n=n, m=m)

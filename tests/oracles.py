@@ -8,7 +8,7 @@ spies, so that the package's shot loop needs no record-keeping path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,10 @@ import pytest
 from promkit import engine, oracle, simulator
 from promkit.bits import (AliasSampler, fwht, index_to_bits, num_bits, parity,
                           sample_independent_bits, split_index, stream)
-from promkit.circuits import PauliString
+from promkit.circuits import Gate, PauliString, TerminalSetting
 from promkit.experiments import _ghz_stabilizer_labels
 from promkit.mitigation import (GeneralWeights, LayeredWeights, MitigationWeights,
                                 TensoredWeights)
-from promkit.oracle import Read
 from promkit.simulator import RunResult, _pick_dtype, batch_size_for
 
 I2 = np.eye(2)
@@ -169,6 +168,26 @@ def dense_observable(ob, n):
     return kron_chain(mats)
 
 
+@dataclass(frozen=True)
+class Read:
+    """A diagonal read: sum_t |(U psi)_t|^2 values[t], with U the ``gates``
+    and t the outcome of the ``measured`` qubits (bit 0 the first listed)."""
+
+    gates: tuple[Gate, ...]
+    measured: tuple[int, ...]
+    values: np.ndarray
+
+
+def one_observable_settings(observables) -> tuple[TerminalSetting, ...]:
+    """Bare (name, observable) pairs as one-observable settings: each
+    measures the observable's support after a Pauli string's own basis
+    gates, or none."""
+    return tuple(TerminalSetting(name=name, measured=ob.support, observables=((name, ob),),
+                                 basis_gates=ob.basis_gates() if isinstance(ob, PauliString)
+                                 else ())
+                 for name, ob in observables)
+
+
 def dense_read(read, n):
     """A setting's read as the matrix U^dag D U, with U its gates and D
     diagonal: on basis state i, the value of the outcome that the read's
@@ -193,15 +212,15 @@ def dense_projector(qubits, outcome, n):
     return kron_chain(mats)
 
 
-def recursive_trajectory_tensor(circuit, observables):
+def recursive_trajectory_tensor(circuit):
     """``oracle.exact_trajectory_tensor`` as the walk over every (s, v) leaf
     on one dense statevector: project onto each outcome s_l, apply each
-    table entry v_l and the post gates, and recurse; each observable is a
-    dense matrix.  Returns (tensor, branch_probs)."""
+    table entry v_l and the post gates, and recurse; each observable of each
+    setting is the dense matrix of its read.  Returns (tensor, branch_probs)."""
     n, m = circuit.n, circuit.m
     eye = np.eye(1 << n)
-    mats = [dense_read(ob, n) if isinstance(ob, Read) else dense_observable(ob, n)
-            for _, ob in observables]
+    mats = [dense_read(Read(setting.basis_gates, setting.measured, values), n)
+            for setting in circuit.settings for _, values in setting.value_table()]
     # per layer: its pre gates, its projectors and its table entries then
     # post gates, each as one matrix
     layers = [(apply_circuit_dense(layer.pre_gates, n, eye),
@@ -311,9 +330,10 @@ def ghz_fidelity(expectations) -> float:
 
 def exact_ghz_fidelity(circuit) -> float:
     """Oracle fidelity of the circuit's output against GHZ over all qubits,
-    each stabilizer read as a bare observable after its own basis gates."""
+    each stabilizer read in its own setting after its own basis gates."""
     stabs = [(str(i), ob) for i, ob in enumerate(ghz_stabilizers(circuit.n))]
-    tensor = oracle.exact_trajectory_tensor(circuit, stabs)
+    tensor = oracle.exact_trajectory_tensor(
+        replace(circuit, settings=one_observable_settings(stabs)))
     return ghz_fidelity([tensor.ideal(b) for b in range(len(stabs))])
 
 

@@ -72,11 +72,10 @@ def test_criterion_01_unbiasedness_identity():
         if c.m == 0:
             continue
         q = random_distribution(rng, 1 << c.m)
-        obs = oracle.exact_setting_observables(c.settings[0])
-        tensor = oracle.exact_trajectory_tensor(c, obs)
-        w = GeneralWeights(q)
-        for b in range(len(obs)):
-            worst = max(worst, abs(tensor.mitigated(b, q, w) - tensor.ideal(b)))
+        tensor = oracle.exact_trajectory_tensor(c)
+        alpha = GeneralWeights(q).alpha()
+        for b in range(len(tensor.tensor)):
+            worst = max(worst, abs(tensor.mitigated(b, q, alpha) - tensor.ideal(b)))
         count += 1
     elapsed = time.perf_counter() - start
     report(1, "unbiasedness identity",
@@ -162,8 +161,7 @@ def test_criterion_05_sensitivity_bounds():
         c = _random_feedforward_circuit(rng, max_n=3, max_layers=1, max_m=3)
         if c.m == 0:
             continue
-        obs = oracle.exact_setting_observables(c.settings[0])
-        tensors.append((c.m, oracle.exact_trajectory_tensor(c, obs)))
+        tensors.append((c.m, oracle.exact_trajectory_tensor(c)))
     while pairs < 500:
         m, tensor = tensors[pairs % len(tensors)]
         q = random_distribution(rng, 1 << m, eta_max=0.3)
@@ -175,8 +173,8 @@ def test_criterion_05_sensitivity_bounds():
         wp = GeneralWeights(qp)
         bound = sensitivity_bound(w.xi, d)  # Pauli observables: norm 1
         ok_xi &= abs(wp.xi - w.xi) <= bound + 1e-12
-        shifted = tensor.mitigated(0, q, wp)    # q' weights on the q channel
-        exact = tensor.mitigated(0, q, w)
+        shifted = tensor.mitigated(0, q, wp.alpha())    # q' weights on the q channel
+        exact = tensor.mitigated(0, q, w.alpha())
         ok_ob &= abs(shifted - exact) <= bound + 1e-12
         worst_margin = min(worst_margin,
                            bound - max(abs(wp.xi - w.xi), abs(shifted - exact)))
@@ -268,10 +266,10 @@ def test_criterion_09_teleport_suite():
         circuit = experiments.build_teleport_circuit(k, phi_x, phi_z)
         # noiseless oracle check
         delta2 = 0.0
-        for setting in circuit.settings:
-            obs = oracle.exact_setting_observables(setting)
-            t = oracle.exact_trajectory_tensor(circuit, obs)
-            delta2 += (t.ideal(0) - ideal[obs[0][0]]) ** 2
+        t = oracle.exact_trajectory_tensor(circuit)
+        names = [name for setting in circuit.settings for name, _ in setting.observables]
+        for b, name in enumerate(names):
+            delta2 += (t.ideal(b) - ideal[name]) ** 2
         delta = np.sqrt(delta2)
         model = UniformModel(circuit.m, 0.05)
         noise = NoiseInjector(model=model)

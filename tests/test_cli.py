@@ -639,6 +639,7 @@ def test_size_cap_circuit_file_qubits_exit_3(tmp_path, capsys, command, n):
     err = capsys.readouterr().err
     assert err.startswith("error: size cap: statevector needs 2**") and err.count("\n") == 1
     assert peak < 4 << 20
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("cfg, circuit", [
@@ -698,9 +699,10 @@ def test_oracle_walks_the_circuit_once(tmp_path, capsys, monkeypatch):
     """The observables of every setting go into one trajectory walk."""
     calls = []
 
-    def spy(circuit, observables, _real=oracle.exact_trajectory_tensor):
-        calls.append(len(observables))
-        return _real(circuit, observables)
+    def spy(circuit, _real=oracle.exact_trajectory_tensor):
+        tensor = _real(circuit)
+        calls.append(len(tensor.tensor))
+        return tensor
     monkeypatch.setattr(oracle, "exact_trajectory_tensor", spy)
     path = write(tmp_path, "cfg.json", {"experiment": "ghz", "parameters": {"b": 2, "p": 1},
                                         "noise": {"kind": "uniform", "m": 1, "rate": 0.05}})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,8 @@ from promkit.simulator import NoiseInjector, estimate_observables, run_shots
 def setting_fidelity(circuit) -> float:
     """The circuit's exact aggregate: its scale times the sum of the
     oracle's ideal values of every setting's observables."""
-    obs = [ob for s in circuit.settings for ob in oracle.exact_setting_observables(s)]
-    tensor = oracle.exact_trajectory_tensor(circuit, obs)
-    return circuit.aggregate[1] * sum(tensor.ideal(b) for b in range(len(obs)))
+    tensor = oracle.exact_trajectory_tensor(circuit)
+    return circuit.aggregate[1] * sum(tensor.ideal(b) for b in range(len(tensor.tensor)))
 
 
 class TestResetCircuit:
@@ -27,8 +28,7 @@ class TestResetCircuit:
 
     def test_noiseless_projectors(self):
         c = experiments.build_reset_circuit(2)
-        obs = oracle.exact_setting_observables(c.settings[0])
-        t = oracle.exact_trajectory_tensor(c, obs)
+        t = oracle.exact_trajectory_tensor(c)
         assert t.ideal(0) == pytest.approx(1.0, abs=1e-12)
         assert t.ideal(1) == pytest.approx(1.0, abs=1e-12)
 
@@ -84,7 +84,8 @@ class TestGhz:
         c = experiments.build_unitary_ghz(3)
         stabs = [(s.label + ("-" if s.sign < 0 else ""), s)
                  for s in oracles.ghz_stabilizers(3)]
-        t = oracle.exact_trajectory_tensor(c, stabs)
+        t = oracle.exact_trajectory_tensor(
+            replace(c, settings=oracles.one_observable_settings(stabs)))
         for b in range(len(stabs)):
             assert t.ideal(b) == pytest.approx(1.0, abs=1e-12)
 
@@ -167,20 +168,18 @@ class TestTeleport:
                 "Y": -np.sin(2 * phi_x) * np.cos(2 * phi_z),
                 "Z": np.cos(2 * phi_x)}
         c = experiments.build_teleport_circuit(k, phi_x, phi_z)
-        for setting in c.settings:
-            obs = oracle.exact_setting_observables(setting)
-            t = oracle.exact_trajectory_tensor(c, obs)
-            assert t.ideal(0) == pytest.approx(want[obs[0][0]], abs=1e-9), k
+        t = oracle.exact_trajectory_tensor(c)
+        for b, name in enumerate(name for s in c.settings for name, _ in s.observables):
+            assert t.ideal(b) == pytest.approx(want[name], abs=1e-9), k
 
     def test_other_input_angles(self):
         c = experiments.build_teleport_circuit(1, 0.3, 1.1)
         want = {"X": np.sin(0.6) * np.sin(2.2),
                 "Y": -np.sin(0.6) * np.cos(2.2),
                 "Z": np.cos(0.6)}
-        for setting in c.settings:
-            obs = oracle.exact_setting_observables(setting)
-            t = oracle.exact_trajectory_tensor(c, obs)
-            assert t.ideal(0) == pytest.approx(want[obs[0][0]], abs=1e-9)
+        t = oracle.exact_trajectory_tensor(c)
+        for b, name in enumerate(name for s in c.settings for name, _ in s.observables):
+            assert t.ideal(b) == pytest.approx(want[name], abs=1e-9)
 
     def test_transport_baseline(self):
         c = experiments.build_unitary_transport(2)
@@ -188,8 +187,7 @@ class TestTeleport:
         assert c.m == 0
         want = np.cos(np.pi / 4)
         setting = next(s for s in c.settings if s.name == "z")
-        obs = oracle.exact_setting_observables(setting)
-        t = oracle.exact_trajectory_tensor(c, obs)
+        t = oracle.exact_trajectory_tensor(replace(c, settings=(setting,)))
         assert t.ideal(0) == pytest.approx(want, abs=1e-9)
 
 class TestRepStrategies:

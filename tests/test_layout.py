@@ -62,3 +62,16 @@ def test_config_and_cli_name_no_experiment():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         found |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
         assert not found & names, f"{path.name} names {sorted(found & names)}"
+
+
+def test_oracle_shares_no_code_with_what_it_checks():
+    """The exact oracle referees the sampler and the mitigation, so from the
+    package it imports only the engine's kernels, the bit helpers and the
+    circuit types."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("promkit")):
+            module = (node.module or "").removeprefix("promkit").lstrip(".")
+            imported |= {module} if module else {alias.name for alias in node.names}
+    assert imported and imported <= {"engine", "bits", "circuits"}, sorted(imported)

@@ -1,11 +1,13 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (masked_by_gather, mitigated_by_loop, random_distribution,
+from oracles import (Read, dense_observable, dense_read, masked_by_gather,
+                     mitigated_by_loop, one_observable_settings, random_distribution,
                      recursive_trajectory_tensor)
 from promkit import engine, oracle
 from promkit.bits import SizeCapError
@@ -27,8 +29,7 @@ def reset_circuit():
 
 def test_reset_tensor_values():
     c = reset_circuit()
-    obs = oracle.exact_setting_observables(c.settings[0])
-    t = oracle.exact_trajectory_tensor(c, obs)
+    t = oracle.exact_trajectory_tensor(c)
     assert t.branch_probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(t.branch_probs, [0.5, 0.5])
     assert t.ideal(0) == pytest.approx(1.0)
@@ -41,8 +42,7 @@ def test_reset_tensor_values():
 
 def test_masked_interpolates_channel():
     c = reset_circuit()
-    obs = oracle.exact_setting_observables(c.settings[0])
-    t = oracle.exact_trajectory_tensor(c, obs)
+    t = oracle.exact_trajectory_tensor(c)
     q = np.array([0.9, 0.1])
     # no mask: expectation = sum_s p_s * (q0 * right + q1 * wrong)
     assert t.masked(0, 0, q) == pytest.approx(0.9)
@@ -53,11 +53,10 @@ def test_masked_interpolates_channel():
 
 def test_mitigated_recovers_ideal():
     c = reset_circuit()
-    obs = oracle.exact_setting_observables(c.settings[0])
-    t = oracle.exact_trajectory_tensor(c, obs)
+    t = oracle.exact_trajectory_tensor(c)
     q = np.array([0.85, 0.15])
     w = GeneralWeights(q)
-    assert t.mitigated(0, q, w) == pytest.approx(t.ideal(0), abs=1e-12)
+    assert t.mitigated(0, q, w.alpha()) == pytest.approx(t.ideal(0), abs=1e-12)
     assert t.mitigated(0, q, w.alpha()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -67,18 +66,16 @@ def test_teleport_ideal_matches_closed_form():
             "Y": -np.sin(2 * phi_x) * np.cos(2 * phi_z),
             "Z": np.cos(2 * phi_x)}
     c = build_teleport_circuit(1, phi_x, phi_z)
-    for setting in c.settings:
-        obs = oracle.exact_setting_observables(setting)
-        t = oracle.exact_trajectory_tensor(c, obs)
-        name = obs[0][0]
-        assert t.ideal(0) == pytest.approx(want[name], abs=1e-12)
+    t = oracle.exact_trajectory_tensor(c)
+    names = [name for setting in c.settings for name, _ in setting.observables]
+    for b, name in enumerate(names):
+        assert t.ideal(b) == pytest.approx(want[name], abs=1e-12)
 
 
 def test_branch_probs_follow_born_rule():
     # teleport stage: all four Bell outcomes equally likely
     c = build_teleport_circuit(1)
-    obs = oracle.exact_setting_observables(c.settings[0])
-    t = oracle.exact_trajectory_tensor(c, obs)
+    t = oracle.exact_trajectory_tensor(c)
     assert np.allclose(t.branch_probs, 0.25)
 
 
@@ -87,10 +84,17 @@ def test_multi_observable_tensor():
     setting = TerminalSetting(
         name="t", measured=(0,),
         observables=(("zeros", ZeroProjector((0,))), ("z", PauliString("Z", (0,)))))
-    c = DynamicCircuit(n=1, prep=c.prep, layers=c.layers, settings=(setting,))
-    obs = oracle.exact_setting_observables(setting)
-    t = oracle.exact_trajectory_tensor(c, obs)
-    assert t.names == ["zeros", "z"]
+    turned = TerminalSetting(name="x", measured=(0,), basis_gates=(h(0),),
+                             observables=(("x", PauliString("X", (0,))),))
+    c = DynamicCircuit(n=1, prep=c.prep, layers=c.layers, settings=(setting, turned))
+    t = oracle.exact_trajectory_tensor(c)
+    # b runs over the settings, then over each setting's observables: each
+    # plane is the walk of its observable alone
+    reads = [replace(s, observables=(ob,)) for s in c.settings for ob in s.observables]
+    assert len(t.tensor) == len(reads) == 3
+    for b, read in enumerate(reads):
+        alone = oracle.exact_trajectory_tensor(replace(c, settings=(read,)))
+        assert np.array_equal(t.tensor[b], alone.tensor[0])
     # projector p and Z = 2p - 1 on a single qubit
     assert t.ideal(1) == pytest.approx(2 * t.ideal(0) - 1, abs=1e-12)
 
@@ -99,12 +103,11 @@ def test_random_circuit_unbiasedness():
     rng = np.random.default_rng(0)
     for _ in range(10):
         c = _random_dynamic_circuit(rng)
-        obs = oracle.exact_setting_observables(c.settings[0])
-        t = oracle.exact_trajectory_tensor(c, obs)
+        t = oracle.exact_trajectory_tensor(c)
         q = random_distribution(rng, 1 << c.m)
-        w = GeneralWeights(q)
-        for b in range(len(obs)):
-            assert t.mitigated(b, q, w) == pytest.approx(t.ideal(b), abs=1e-9)
+        alpha = GeneralWeights(q).alpha()
+        for b in range(len(t.tensor)):
+            assert t.mitigated(b, q, alpha) == pytest.approx(t.ideal(b), abs=1e-9)
 
 
 def _random_dynamic_circuit(rng):
@@ -127,12 +130,12 @@ def _random_dynamic_circuit(rng):
 def test_size_caps_enforced():
     big = DynamicCircuit(n=13, prep=(h(0),))
     with pytest.raises(SizeCapError):
-        oracle.exact_trajectory_tensor(big, [("z", PauliString("Z", (0,)))])
+        oracle.exact_trajectory_tensor(big)
     layers = tuple(FeedforwardLayer(measured=(0,), table=((), ()))
                    for _ in range(7))
     wide = DynamicCircuit(n=2, layers=layers)
     with pytest.raises(SizeCapError):
-        oracle.exact_trajectory_tensor(wide, [("z", PauliString("Z", (0,)))])
+        oracle.exact_trajectory_tensor(wide)
 
 
 def test_oracle_rejects_repetition():
@@ -140,7 +143,7 @@ def test_oracle_rejects_repetition():
                              consensus="majority")
     c = DynamicCircuit(n=1, layers=(layer,))
     with pytest.raises(ValueError):
-        oracle.exact_trajectory_tensor(c, [("z", PauliString("Z", (0,)))])
+        oracle.exact_trajectory_tensor(c)
 
 
 # what the oracle models: no QND repetition, no terminal readout noise, at
@@ -155,20 +158,20 @@ def test_per_mask_matches_the_double_sums(run, seed):
     """One XOR convolution gives what the double sum gives for each mask,
     and the weights of an invertible channel recover the ideal value."""
     circuit, _, _ = run
-    setting = circuit.settings[0]
-    obs = oracle.exact_setting_observables(setting) + [("z0", PauliString("Z", (0,)))]
-    t = oracle.exact_trajectory_tensor(circuit, obs)
+    z0 = one_observable_settings([("z0", PauliString("Z", (0,)))])
+    t = oracle.exact_trajectory_tensor(replace(circuit, settings=circuit.settings + z0))
     rng = np.random.default_rng(seed)
     k = 1 << circuit.m
     q = random_distribution(rng, k)
     alpha = rng.normal(size=k)
-    for b in range(len(obs)):
+    for b in range(len(t.tensor)):
         want = [masked_by_gather(t, b, f, q) for f in range(k)]
         assert np.allclose(t.per_mask(b, q), want, rtol=0, atol=1e-12)
         assert t.masked(b, k - 1, q) == pytest.approx(want[-1], rel=0, abs=1e-12)
         assert t.mitigated(b, q, alpha) == pytest.approx(
             mitigated_by_loop(t, b, q, alpha), rel=0, abs=1e-12)
-        assert t.mitigated(b, q, GeneralWeights(q)) == pytest.approx(t.ideal(b), abs=1e-9)
+        assert t.mitigated(b, q, GeneralWeights(q).alpha()) == pytest.approx(t.ideal(b),
+                                                                            abs=1e-9)
 
 
 @given(runs(kinds=("none",), terminal=False, max_m=oracle.MAX_M, consensus=[(1, "none")]),
@@ -176,18 +179,37 @@ def test_per_mask_matches_the_double_sums(run, seed):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_walk_matches_the_dense_recursion(run, seed):
     """The row-batch walk gives the tensor and branch probabilities of the
-    leaf-by-leaf walk on dense matrices, for setting reads and for a bare
-    Pauli string and zero projector on random qubits."""
+    leaf-by-leaf walk on dense matrices: for the circuit's own setting, for a
+    setting of several observables after one shared rotation, for a setting
+    of none (which adds no index), and for a bare Pauli string and zero
+    projector on random qubits, each in a setting of its own that reads its
+    dense matrix."""
     circuit, _, _ = run
     n = circuit.n
     rng = np.random.default_rng(seed)
+
+    def subset():
+        return tuple(rng.permutation(n)[:rng.integers(1, n + 1)].tolist())
     label = "".join(rng.choice(list("IXYZ"), size=n))
-    obs = oracle.exact_setting_observables(circuit.settings[0]) + [
-        ("pauli", PauliString(label, tuple(rng.permutation(n).tolist()),
-                              sign=int(rng.choice([-1, 1])))),
-        ("zeros", ZeroProjector(tuple(rng.permutation(n)[:rng.integers(1, n + 1)].tolist())))]
-    t = oracle.exact_trajectory_tensor(circuit, obs)
-    tensor, probs = recursive_trajectory_tensor(circuit, obs)
+    bare = [("pauli", PauliString(label, tuple(rng.permutation(n).tolist()),
+                                  sign=int(rng.choice([-1, 1])))),
+            ("zeros", ZeroProjector(subset()))]
+    several = TerminalSetting(
+        name="several", measured=tuple(rng.permutation(n).tolist()),
+        basis_gates=PauliString("".join(rng.choice(list("XYZ"), size=n))).basis_gates(),
+        observables=(("z", PauliString("Z" * n)), ("zeros", ZeroProjector(subset())),
+                     ("z1", PauliString("Z", subset()[:1]))))
+    none = TerminalSetting(name="none", measured=subset(), observables=(),
+                           basis_gates=several.basis_gates)
+    singles = one_observable_settings(bare)
+    for setting, (_, ob) in zip(singles, bare):
+        (_, values), = setting.value_table()
+        read = Read(setting.basis_gates, setting.measured, values)
+        assert np.allclose(dense_read(read, n), dense_observable(ob, n), rtol=0, atol=1e-12)
+    circuit = replace(circuit, settings=circuit.settings + (several, none) + singles)
+    t = oracle.exact_trajectory_tensor(circuit)
+    tensor, probs = recursive_trajectory_tensor(circuit)
+    assert len(t.tensor) == sum(len(s.observables) for s in circuit.settings)
     assert np.allclose(t.tensor, tensor, rtol=0, atol=1e-12)
     assert np.allclose(t.branch_probs, probs, rtol=0, atol=1e-12)
 
@@ -205,8 +227,7 @@ def test_walk_holds_one_row_per_true_history(monkeypatch):
                 rows.extend(a.shape[0] for a in (*args, out) if isinstance(a, np.ndarray))
                 return out
             monkeypatch.setattr(engine, name, spy)
-    oracle.exact_trajectory_tensor(circuit, [ob for setting in circuit.settings
-                                             for ob in oracle.exact_setting_observables(setting)])
+    oracle.exact_trajectory_tensor(circuit)
     assert circuit.m == 6 and max(rows) == 1 << circuit.m
 
 
@@ -223,12 +244,12 @@ def test_sampler_matches_oracle(run, seed):
     circuit, noise, weights = run
     setting = circuit.settings[0]
     q = np.eye(1 << circuit.m)[0] if noise is None else noise.model.expand()
-    t = oracle.exact_trajectory_tensor(circuit, oracle.exact_setting_observables(setting))
+    t = oracle.exact_trajectory_tensor(circuit)
     result = run_shots(circuit, setting, SAMPLER_SHOTS, noise=noise, weights=weights,
                        seed=seed)
     values = setting.value_table()
     for b, est in enumerate(estimate_observables(result)):
-        exact = t.mitigated(b, q, weights) if weights is not None else t.masked(b, 0, q)
+        exact = t.mitigated(b, q, weights.alpha()) if weights is not None else t.masked(b, 0, q)
         if est.stderr == 0:
             # every accepted shot read one signed value in [-r, r], r = xi
             # max|v|.  Then, with probability at least 1 - 1e-9, the other
