@@ -110,15 +110,26 @@ def binary_convolve(u, v) -> np.ndarray:
     return fwht(fwht(u) * fwht(v)) / n
 
 
+def _checked_weights(weights, ndim: int) -> np.ndarray:
+    p = np.asarray(weights, dtype=np.float64)
+    if p.ndim != ndim or p.size == 0:
+        raise ValueError(f"probs must be a non-empty {ndim}-D array")
+    if np.any(p < 0):
+        raise ValueError("probs must be non-negative")
+    return p
+
+
 class AliasSampler:
-    """Walker/Vose alias table: O(K) build, O(1) per draw, vectorized draws."""
+    """Walker/Vose alias table: O(K) build, O(1) per draw, vectorized draws.
+
+    The build is Vose's loop on Python floats, the fastest build of one
+    distribution: a mitigation mask table or a general syndrome model.  A
+    stack of distributions, such as a confusion matrix's columns, builds
+    faster through ``alias_tables``, which gives the same tables row by row.
+    """
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a non-empty 1-D array")
-        if np.any(p < 0):
-            raise ValueError("probs must be non-negative")
+        p = _checked_weights(probs, 1)
         total = p.sum()
         if total <= 0:
             raise ValueError("probs must have positive total")
@@ -144,6 +155,61 @@ class AliasSampler:
     def draw(self, rng: np.random.Generator, size=None) -> np.ndarray:
         i = rng.integers(0, self.n, size=size)
         return alias_lookup(self.prob, self.alias, i, i, rng.random(size=size))
+
+
+def alias_tables(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (prob, alias) tables of every row of a (rows, k) array; row r
+    is byte-equal to ``AliasSampler(weights[r])``'s tables.
+
+    Vose's loop runs on all rows in lockstep, with the scalar loop's float
+    operations and stack order: each step pops the top small and the top
+    large index of every row whose two stacks are both non-empty, and a
+    demoted large takes the popped small's place on the small stack.  That is
+    at most k - 1 numpy-level steps instead of rows x (k - 1) Python ones,
+    but each costs tens of microseconds, so one row builds faster through
+    ``AliasSampler``.
+    """
+    p = _checked_weights(weights, 2)
+    rows, k = p.shape
+    # one sum per row, as the scalar build takes it: pairwise summation over
+    # the whole row, whatever the row's stride
+    total = np.array([row.sum() for row in p])
+    if np.any(total <= 0):
+        raise ValueError("probs must have positive total")
+    scaled = (p * (k / total)[:, None]).ravel()
+    flat = np.arange(rows * k)
+    alias = flat.copy()  # flat indices while building
+    # per row, its small indices ascending, then its large ones ascending,
+    # as flat indices: a row's small stack runs from its base up to
+    # top_small, its large stack from first_large up to top_large
+    is_large = scaled >= 1.0
+    key = np.repeat(np.arange(0, 2 * rows, 2, dtype=np.min_scalar_type(2 * rows)), k)
+    order = np.argsort(key + is_large, kind="stable")
+    base = np.arange(0, rows * k, k)
+    first_large = base + k - is_large.reshape(rows, k).sum(axis=1)
+    top_small, top_large = first_large - 1, base + k - 1
+    while True:
+        done = (top_small < base) | (top_large < first_large)
+        if done.any():
+            base, first_large, top_small, top_large = (
+                a[~done] for a in (base, first_large, top_small, top_large))
+            if not base.size:
+                break
+        s, g = order[top_small], order[top_large]
+        kept = scaled[s]
+        alias[s] = g
+        left = scaled[g] - (1.0 - kept)
+        scaled[g] = left
+        demoted = left < 1.0
+        # a demoted large replaces the popped small; otherwise the small
+        # stack shrinks past this slot, which is then never read again
+        order[top_small] = g
+        top_small -= ~demoted
+        top_large -= demoted
+    # a popped small's scaled weight never changes again, so it is its keep
+    # probability; every other index keeps itself with probability 1.0
+    prob = np.where(alias != flat, scaled, 1.0).reshape(rows, k)
+    return prob, (alias % k).reshape(rows, k)
 
 
 def alias_lookup(prob, alias, at, i, u) -> np.ndarray:

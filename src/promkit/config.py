@@ -25,8 +25,8 @@ from .bits import check_size
 from .circuits import (DynamicCircuit, FeedforwardLayer, Gate, PauliString,
                        TerminalSetting, ZeroProjector, cx, h, rx, ry, rz, s,
                        sdg, x, y, z)
-from .mitigation import (GeneralWeights, MitigationWeights, TensoredWeights,
-                         solve_weights)
+from .mitigation import (ChannelInverse, GeneralWeights, MitigationWeights,
+                         TensoredWeights, solve_weights)
 from .readout import (ConfusionMatrix, GeneralModel, LayeredModel,
                       SyndromeModel, TensoredModel, UniformModel)
 from .simulator import (NoiseInjector, aggregate_estimate, estimate_observables,
@@ -423,7 +423,8 @@ def run_plan(plan: RunPlan, workers: int = 1) -> dict:
     started = time.perf_counter()
     cfg, noise = plan.cfg, plan.noise
     circuit, weights = build_mitigation(cfg["mitigation"], plan.circuit, noise)
-    terminal_q = noise.terminal.expand() if cfg["terminal_rem"] else None
+    # one spectrum for every observable of every setting and trial
+    terminal_q = ChannelInverse(noise.terminal.expand()) if cfg["terminal_rem"] else None
 
     settings = circuit.settings
     runs = run_settings(circuit, [(setting, cfg["shots"],

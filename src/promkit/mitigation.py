@@ -67,9 +67,20 @@ def _spectrum(q: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _invert(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Q^{-1} v for the XOR-circulant Q[s, f] = q[s ^ f]."""
-    return fwht(fwht(v) / _spectrum(q)) / q.size
+class ChannelInverse:
+    """v -> Q^{-1} v for the XOR-circulant Q[s, f] = q[s ^ f].  The spectrum
+    is formed and checked once, here, so inverting many vectors through one
+    channel costs two transforms each."""
+
+    def __init__(self, q):
+        self.q = np.asarray(q, dtype=np.float64)
+        self._spectrum = _spectrum(self.q)
+
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != self.q.shape:
+            raise ValueError("counts and q must have equal length")
+        return fwht(fwht(v) / self._spectrum) / self.q.size
 
 
 class GeneralWeights(MitigationWeights):
@@ -225,13 +236,11 @@ def project_nonnegative(v) -> np.ndarray:
 def terminal_rem(counts, q, project: bool = True) -> np.ndarray:
     """Invert a symmetrized readout channel on terminal counts.
 
-    counts is the histogram of reported terminal outcomes; the result is the
-    channel-inverted histogram (same total), optionally projected onto the
-    nearest non-negative histogram.
+    counts is the histogram of reported terminal outcomes, and q the
+    channel's syndrome distribution or its ``ChannelInverse``; the result is
+    the channel-inverted histogram (same total), optionally projected onto
+    the nearest non-negative histogram.
     """
-    c = np.asarray(counts, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if c.shape != q.shape:
-        raise ValueError("counts and q must have equal length")
-    corrected = _invert(q, c)
+    invert = q if isinstance(q, ChannelInverse) else ChannelInverse(q)
+    corrected = invert(counts)
     return project_nonnegative(corrected) if project else corrected

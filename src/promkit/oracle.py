@@ -75,7 +75,7 @@ def exact_trajectory_tensor(circuit: DynamicCircuit) -> TrajectoryTensor:
     Index b of the tensor runs over the settings in order, then over each
     setting's observables.  The walk holds one unnormalized row per
     true-outcome history s, at most 2**m rows of 2**n amplitudes, and
-    recurses over the lookup values v; it is exact and exhaustive (4**m leaf
+    branches over the lookup values v; it is exact and exhaustive (4**m leaf
     branches), so the circuit must fit ``MAX_N`` qubits and ``MAX_M``
     measured bits.
     """
@@ -95,7 +95,14 @@ def exact_trajectory_tensor(circuit: DynamicCircuit) -> TrajectoryTensor:
     tensor = np.zeros((sum(len(values) for _, values in reads), k, k))
     probs = np.zeros(k)
 
-    def walk(rows, s_acc, li, v_acc):
+    # depth first over (rows, s_acc, layer, v_acc, gates still to apply), on
+    # a stack: a recursive closure would refer to itself, and each call would
+    # leave a reference cycle that keeps its tables until the cyclic collector
+    # runs
+    stack = [(engine.zero_states(1, n), np.zeros(1, dtype=np.int64), 0, 0, circuit.prep)]
+    while stack:
+        rows, s_acc, li, v_acc, gates = stack.pop()
+        rows = engine.apply_gates(rows.copy(), gates, n)
         if li == len(circuit.layers):
             hit = s_acc == v_acc
             probs[s_acc[hit]] = np.square(np.abs(rows[hit])).sum(axis=1)
@@ -106,16 +113,14 @@ def exact_trajectory_tensor(circuit: DynamicCircuit) -> TrajectoryTensor:
                 for v in values:
                     tensor[b, s_acc, v_acc] = dist @ v
                     b += 1
-            return
+            continue
         layer = circuit.layers[li]
         t = engine.blocks(engine.apply_gates(rows, layer.pre_gates, n), layer.measured, n)
         parent, slots = np.nonzero(t.any(axis=2))  # every nonzero projection
         projected = engine.expand(slots, t[parent, slots], layer.measured, n)
         s_acc = s_acc[parent] << layer.m | slots
-        for v_l, entry in enumerate(layer.table):
-            branch = engine.apply_gates(projected.copy(), entry + layer.post_gates, n)
-            walk(branch, s_acc, li + 1, v_acc << layer.m | v_l)
+        for v_l in reversed(range(len(layer.table))):
+            stack.append((projected, s_acc, li + 1, v_acc << layer.m | v_l,
+                          layer.table[v_l] + layer.post_gates))
 
-    init = engine.apply_gates(engine.zero_states(1, n), circuit.prep, n)
-    walk(init, np.zeros(1, dtype=np.int64), 0, 0)
     return TrajectoryTensor(tensor=tensor, branch_probs=probs, n=n, m=m)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (AliasSampler, alias_lookup, check_size, num_bits,
+from .bits import (AliasSampler, alias_lookup, alias_tables, check_size, num_bits,
                    sample_independent_bits)
 
 PROB_ATOL = 1e-9
@@ -91,14 +91,20 @@ class ConfusionMatrix:
         Shots are grouped by true outcome, ascending, each group in shot order.
         Each group draws its alias slots, then its uniforms; one lookup then
         reads the stacked column tables for the whole batch.
+
+        The tables are built on the first draw by ``alias_tables``: Vose's
+        loop on all 2**m columns in lockstep, at most 2**m - 1 numpy steps in
+        place of 2**m scalar ``AliasSampler`` builds of up to 2**m - 1 Python
+        steps each, with the same tables.  The grouping is a stable sort on
+        the narrowest unsigned key that holds every outcome, which numpy
+        radix-sorts up to 16 bits.
         """
         if self._tables is None:
-            samplers = [AliasSampler(self.matrix[:, t]) for t in range(self.matrix.shape[1])]
-            self._tables = (np.stack([s.prob for s in samplers]),
-                            np.stack([s.alias for s in samplers]))
+            self._tables = alias_tables(self.matrix.T)
         prob, alias = self._tables
         true_outcomes = np.asarray(true_outcomes)
-        order = np.argsort(true_outcomes, kind="stable")
+        key = true_outcomes.astype(np.min_scalar_type(prob.shape[0] - 1))
+        order = np.argsort(key, kind="stable")
         slot = np.empty(order.size, dtype=np.int64)
         u = np.empty(order.size, dtype=np.float64)
         start = 0

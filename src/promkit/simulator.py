@@ -522,7 +522,9 @@ def signed_estimate(result: RunResult, values: np.ndarray,
     With ``terminal_q``, the terminal channel Q[s, t] = q[s ^ t] is inverted
     on the values, v' = Q^{-1} v.  Q is symmetric, so v' @ counts equals
     v @ Q^{-1} counts: the estimator stays linear in the counts, unbiased and
-    unprojected, and the moments of v' give its exact stderr.
+    unprojected, and the moments of v' give its exact stderr.  ``terminal_q``
+    is q, or its ``ChannelInverse``, which checks Q's spectrum once for every
+    estimate it serves.
     """
     n = result.accepted
     if n == 0:

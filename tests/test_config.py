@@ -1,16 +1,20 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from promkit import config, experiments
+from promkit import config, experiments, mitigation
 from promkit.mitigation import GeneralWeights, LayeredWeights, TensoredWeights
 from promkit.readout import (ConfusionMatrix, GeneralModel, LayeredModel, TensoredModel,
                              UniformModel, symmetrize)
 from promkit.simulator import NoiseInjector
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def minimal(**over):
@@ -344,6 +348,27 @@ class TestRunConfig:
         estimates = [e["estimate"] for s in entry["settings"] for e in s["estimates"]]
         assert len(estimates) == 16
         assert abs(entry["derived"]["fidelity"] - sum(estimates) / 16) < 1e-12
+
+    def test_run_checks_the_terminal_spectrum_once(self, monkeypatch):
+        # GHZ(4): 16 stabilizer estimates and 9 aggregated settings, each
+        # inverted through one spectrum at two transforms apiece
+        calls = {"spectrum": 0, "fwht": 0}
+        spectrum, fwht = mitigation._spectrum, mitigation.fwht
+
+        def count(name, fn):
+            def spy(v):
+                calls[name] += 1
+                return fn(v)
+            return spy
+
+        monkeypatch.setattr(mitigation, "_spectrum", count("spectrum", spectrum))
+        monkeypatch.setattr(mitigation, "fwht", count("fwht", fwht))
+        raw = json.loads((DEMOS / "ghz_terminal_rem.json").read_text())
+        record = config.run_config(raw)["record"]
+        assert calls == {"spectrum": 1, "fwht": 1 + 2 * (16 + 9)}
+        # the record the run gave when each estimate formed its own spectrum
+        assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == (
+            "b00a98fef7752a422bbd3a780f4a6a58db44468908d721341b235d767ea2106d")
 
     def test_csv_write(self, tmp_path):
         cfg = config.validate_config(minimal(shots=200))

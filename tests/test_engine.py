@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (ScalarAliasSampler, apply_circuit_dense, apply_x_masks_by_loop,
                      measure_by_count, sample_reported_by_mask, split_by_unique)
 from promkit import engine
-from promkit.bits import AliasSampler
+from promkit.bits import AliasSampler, alias_tables
 from promkit.circuits import cx, h, rx, ry, rz, s, sdg, x, y, z
 from promkit.readout import ConfusionMatrix
 
@@ -266,15 +266,68 @@ def test_alias_tables_match_scalar_build(size, seed):
     assert got.alias.dtype == want.alias.dtype and got.alias.tobytes() == want.alias.tobytes()
 
 
+def assert_rows_match_scalar_builds(weights):
+    prob, alias = alias_tables(weights)
+    assert prob.shape == alias.shape == weights.shape
+    for row, p, a in zip(weights, prob, alias):
+        want = ScalarAliasSampler(row)
+        assert p.dtype == want.prob.dtype and p.tobytes() == want.prob.tobytes()
+        assert a.dtype == want.alias.dtype and a.tobytes() == want.alias.tobytes()
+
+
+@given(st.integers(1, 6), st.integers(1, 80), st.integers(0, 10_000),
+       st.sampled_from(["real", "integer"]), st.booleans())
+@example(rows=3, size=1, seed=0, kind="real", strided=False)
+@example(rows=2, size=5, seed=1, kind="integer", strided=True)
+@settings(max_examples=80, deadline=None)
+def test_alias_tables_match_scalar_builds_row_by_row(rows, size, seed, kind, strided):
+    """Every row of the lockstep build is the scalar build of that row.
+    Integer weights scale to exact floats, so a large index can be left at
+    exactly 1.0, which must keep it large."""
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        w = rng.random((rows, size)) ** 3
+        w[rng.random((rows, size)) < 0.3] = 0.0
+    else:
+        w = rng.integers(0, 4, (rows, size)).astype(np.float64)
+    w[np.arange(rows), rng.integers(size, size=rows)] += 1.0  # every total positive
+    w[rng.random(rows) < 0.25] = 1.0  # uniform rows: no small index at all
+    if strided:  # rows that are columns of a C-ordered array, as a matrix's are
+        w = np.asfortranarray(w)
+    assert_rows_match_scalar_builds(w)
+
+
+@given(st.integers(1, 6), st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_alias_tables_match_scalar_builds_on_kronecker_columns(m, seed):
+    # the confusion matrices of independent asymmetric bits, read by column
+    rng = np.random.default_rng(seed)
+    matrix = np.ones((1, 1))
+    for _ in range(m):
+        up, down = rng.uniform(0.0, 0.2, 2)
+        matrix = np.kron(matrix, [[1 - up, down], [up, 1 - down]])
+    assert_rows_match_scalar_builds(matrix.T)
+
+
+@pytest.mark.parametrize("weights", [np.ones(4), np.ones((2, 0)), -np.eye(2),
+                                     np.array([[1.0, 0.0], [0.0, 0.0]])])
+def test_alias_tables_refuse_bad_weights(weights):
+    with pytest.raises(ValueError, match="probs must"):
+        alias_tables(weights)
+
+
 def test_sample_reported_matches_per_outcome_masks():
-    rng = np.random.default_rng(11)
-    cols = rng.random((8, 8)) ** 2 + 2.0 * np.eye(8)
-    cols[rng.random((8, 8)) < 0.3] = 0.0
-    confusion = ConfusionMatrix(cols / cols.sum(axis=0))
-    true = rng.integers(0, 6, 1000)  # outcomes 6 and 7 never occur
-    got = confusion.sample_reported(true, np.random.default_rng(12))
-    want = sample_reported_by_mask(confusion, true, np.random.default_rng(12))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # 2 and 256 outcomes group on uint8 keys, 512 on uint16 keys; the top
+    # outcomes never occur
+    for k in (2, 8, 256, 512):
+        rng = np.random.default_rng(11)
+        cols = rng.random((k, k)) ** 2 + 2.0 * np.eye(k)
+        cols[(rng.random((k, k)) < 0.3) & (cols < 2.0)] = 0.0  # off the diagonal
+        confusion = ConfusionMatrix(cols / cols.sum(axis=0))
+        true = rng.integers(0, k - max(1, k // 4), 1000)
+        got = confusion.sample_reported(true, np.random.default_rng(12))
+        want = sample_reported_by_mask(confusion, true, np.random.default_rng(12))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _rows_with_repeats(rng, distinct, copies, n, dtype):

@@ -149,7 +149,7 @@ def test_general_solve_takes_two_walsh_transforms(monkeypatch):
     assert calls == [16, 16]
     e0 = np.zeros(16)
     e0[0] = 1.0
-    assert w.alpha().tobytes() == mitigation._invert(q, e0).tobytes()
+    assert w.alpha().tobytes() == mitigation.ChannelInverse(q)(e0).tobytes()
 
 
 def test_tensored_closed_forms():

@@ -1,3 +1,4 @@
+import gc
 import inspect
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from promkit.bits import SizeCapError
 from promkit.circuits import (DynamicCircuit, FeedforwardLayer, PauliString,
                               TerminalSetting, ZeroProjector, cx, h, x,
                               xor_feedback_table)
-from promkit.experiments import build_teleport_circuit
+from promkit.experiments import build_ghz_circuit, build_teleport_circuit
 from promkit.mitigation import GeneralWeights
 from promkit.simulator import estimate_observables, run_shots
 from strategies import runs
@@ -229,6 +230,19 @@ def test_walk_holds_one_row_per_true_history(monkeypatch):
             monkeypatch.setattr(engine, name, spy)
     oracle.exact_trajectory_tensor(circuit)
     assert circuit.m == 6 and max(rows) == 1 << circuit.m
+
+
+def test_walk_leaves_no_reference_cycle():
+    """A call's value tables, tensor and rows are freed by reference counts
+    when it returns: with the cyclic collector off, nothing is left for it."""
+    circuit = build_ghz_circuit(3, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        oracle.exact_trajectory_tensor(circuit)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 SAMPLER_SHOTS = 20000
