@@ -39,6 +39,15 @@ def check_size(m: int, what: str = "array") -> None:
                            f"(set PROMKIT_SIZE_CAP to raise it)")
 
 
+def check_finite(a: np.ndarray, what: str = "probs") -> np.ndarray:
+    """``a``, refused with ValueError if any entry is NaN or infinite.  Every
+    ordering test reads False for NaN, so checks of a distribution's sign and
+    sum pass one unless this runs too."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
 def num_bits(size: int) -> int:
     """m such that size == 2**m; rejects non-powers-of-two."""
     if size < 1 or size & (size - 1):
@@ -114,6 +123,7 @@ def _checked_weights(weights, ndim: int) -> np.ndarray:
     p = np.asarray(weights, dtype=np.float64)
     if p.ndim != ndim or p.size == 0:
         raise ValueError(f"probs must be a non-empty {ndim}-D array")
+    check_finite(p)
     if np.any(p < 0):
         raise ValueError("probs must be non-negative")
     return p

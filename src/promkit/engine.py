@@ -121,9 +121,6 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     probs = np.square(np.abs(t)).sum(axis=2).astype(np.float64)
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
-    # rounding can leave cum[-1] below a draw; such a draw takes the last
-    # outcome that has any probability, never a zero-probability one
-    last = (1 << k) - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
     shot_rows = np.asarray(rows)
     u = rng.random(shot_rows.size)
     # cum rows are non-decreasing, so the entries <= u form a prefix: find
@@ -134,8 +131,13 @@ def measure(states: np.ndarray, qubits, n: int, rng: np.random.Generator,
     for b in reversed(range(k)):
         at += (flat[at + (1 << b)] <= u) << b
     outcomes = at - base + 1
-    gap = flat[base + ((1 << k) - 1)] <= u
-    outcomes[gap] = last[shot_rows[gap]]
+    # rounding can leave cum[-1] below a draw; such a draw takes the last
+    # outcome that has any probability, never a zero-probability one.  When
+    # every row's total exceeds every draw, no shot can land in that gap.
+    if cum[:, -1].min() <= u.max():
+        last = (1 << k) - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+        gap = flat[base + ((1 << k) - 1)] <= u
+        outcomes[gap] = last[shot_rows[gap]]
     if not collapse:
         return (None, None), outcomes, None
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .bits import fwht, num_bits, parity, split_index
+from .bits import check_finite, fwht, num_bits, parity, split_index
 from .readout import GeneralModel, LayeredModel, SyndromeModel, TensoredModel
 
 SINGULAR_ATOL = 1e-12
@@ -73,7 +73,7 @@ class ChannelInverse:
     channel costs two transforms each."""
 
     def __init__(self, q):
-        self.q = np.asarray(q, dtype=np.float64)
+        self.q = check_finite(np.asarray(q, dtype=np.float64), "q")
         self._spectrum = _spectrum(self.q)
 
     def __call__(self, v) -> np.ndarray:
@@ -87,7 +87,7 @@ class GeneralWeights(MitigationWeights):
     """Weights for an arbitrary joint q; O(m 2**m) init, O(1) per draw."""
 
     def __init__(self, q):
-        self.q = np.asarray(q, dtype=np.float64)
+        self.q = check_finite(np.asarray(q, dtype=np.float64), "q")
         self.m = num_bits(self.q.size)
         self._alpha = fwht(1.0 / _spectrum(self.q)) / self.q.size  # Q^{-1} e_0
         self.xi = float(np.abs(self._alpha).sum())

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (AliasSampler, alias_lookup, alias_tables, check_size, num_bits,
-                   sample_independent_bits)
+from .bits import (AliasSampler, alias_lookup, alias_tables, check_finite, check_size,
+                   num_bits, sample_independent_bits)
 
 PROB_ATOL = 1e-9
 
@@ -29,6 +29,7 @@ def _validate_distribution(q: np.ndarray, name: str = "q") -> np.ndarray:
     if q.ndim != 1:
         raise ValueError(f"{name} must be 1-D")
     num_bits(q.size)
+    check_finite(q, name)
     if np.any(q < -PROB_ATOL):
         raise ValueError(f"{name} has negative entries")
     if abs(q.sum() - 1.0) > 1e-6:
@@ -72,9 +73,11 @@ class ConfusionMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("confusion matrix must be square")
         self.m_bits = num_bits(m.shape[0])
+        col = m.sum(axis=0)
+        # a NaN or infinite entry leaves its column's sum NaN or infinite
+        check_finite(col, "confusion matrix")
         if np.any(m < -PROB_ATOL):
             raise ValueError("confusion matrix has negative entries")
-        col = m.sum(axis=0)
         if np.any(np.abs(col - 1.0) > 1e-6):
             raise ValueError("confusion matrix columns must sum to 1")
         self.matrix = np.clip(m, 0.0, None)
@@ -245,6 +248,7 @@ def calibrate(reported_counts) -> np.ndarray:
     """
     c = np.asarray(reported_counts, dtype=np.float64)
     num_bits(c.size)
+    check_finite(c, "counts")
     if np.any(c < 0):
         raise ValueError("counts must be non-negative")
     total = c.sum()

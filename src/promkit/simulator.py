@@ -23,6 +23,14 @@ counts once and exits; every child is reaped before the call returns or
 raises.  Where the ``fork`` start method does not exist, every batch runs in
 this process.
 
+Before its first batch, ``run_settings`` sets glibc's malloc top pad to
+``HEAP_TOP_PAD`` (16 MiB, one batch's complex64 state block), once per
+process: a batch's per-shot temporaries then reuse the heap the last batch
+freed, where the heap top was otherwise trimmed and grown again every batch,
+faulting in zeroed pages.  The setting is process-wide and forked workers
+inherit it.  As for any malloc tunable, glibc stops moving its mmap and trim
+thresholds from then on; nothing else about the process changes.
+
 Within a batch the statevector is evolved once per distinct state, not once
 per shot.  Rows split after each twirl, each mid-circuit measurement and
 each table lookup.  A table whose gates are X on measured qubits or touch
@@ -37,6 +45,8 @@ of a one-row-per-shot simulation, so the records are that simulation's.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -55,11 +65,32 @@ from .readout import ConfusionMatrix, GeneralModel, LayeredModel, SyndromeModel
 
 MAX_BATCH = 16384
 TARGET_BATCH_ELEMENTS = 1 << 21  # ~16 MiB of complex64 amplitudes per batch
+HEAP_TOP_PAD = TARGET_BATCH_ELEMENTS * 8  # bytes: one batch's complex64 state block
+M_TOP_PAD = -2  # glibc's mallopt parameter number
 
 
 def batch_size_for(n: int) -> int:
     """Deterministic batch size: depends only on the qubit count."""
     return int(min(MAX_BATCH, max(64, TARGET_BATCH_ELEMENTS >> n)))
+
+
+@functools.cache
+def _pad_heap() -> None:
+    """Once per process, have glibc's malloc keep ``HEAP_TOP_PAD`` bytes of
+    freed heap at the top of the heap, and grow the heap by that much more.
+
+    Without it the heap top is trimmed after a batch frees its arrays and
+    grown again by the next batch, which faults every page back in, zeroed.
+    The setting is process-wide and inherited by forked workers; glibc then
+    keeps its mmap and trim thresholds where they stand.  Where the C
+    library has no ``mallopt``, this does nothing.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
 @dataclass
@@ -489,6 +520,7 @@ def run_settings(circuit: DynamicCircuit, jobs: list[Job], *,
     def add(j: int, part: RunResult) -> None:
         results[j] = part if results[j] is None else results[j].merge(part)
 
+    _pad_heap()
     tasks = _batches(jobs, batch)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)

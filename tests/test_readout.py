@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import marginalize, random_distribution
-from promkit import readout
-from promkit.bits import fwht
+from promkit import mitigation, readout
+from promkit.bits import AliasSampler, fwht
 
 
 def test_eigenvalues_are_fwht():
@@ -158,3 +158,22 @@ def test_distribution_validation():
         readout.GeneralModel([1.1, -0.1])      # negative entry
     with pytest.raises(ValueError):
         readout.GeneralModel([0.5, 0.25, 0.25])  # not a power of two
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build, entries", [
+    pytest.param(readout.GeneralModel, [0.5, None], id="GeneralModel"),
+    pytest.param(readout.ConfusionMatrix, [[0.9, 0.5], [0.1, None]], id="ConfusionMatrix"),
+    pytest.param(AliasSampler, [0.5, None], id="AliasSampler"),
+    pytest.param(mitigation.GeneralWeights, [0.9, None], id="GeneralWeights"),
+    pytest.param(mitigation.GeneralWeights, [None, 0.1], id="GeneralWeights-first"),
+    pytest.param(mitigation.ChannelInverse, [0.9, None], id="ChannelInverse"),
+    pytest.param(readout.calibrate, [90, None], id="calibrate"),
+])
+def test_non_finite_distributions_are_refused(build, entries, bad):
+    # None marks the entry that reads ``bad``; a NaN fails no ordering test
+    # of the other checks
+    a = np.array(entries, dtype=np.float64)
+    a[np.isnan(a)] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build(a)
