@@ -5,6 +5,9 @@ Index convention used throughout the package: a length-2**m array is indexed
 by the integer value of an m-bit string whose *leftmost* character is bit 0.
 Bit j of index s is ``(s >> (m - 1 - j)) & 1``; the string "10" is index 2 and
 has bit 0 set.  The Walsh-Hadamard transform itself is bit-order agnostic.
+
+``check_distribution`` is the one test of what a probability distribution is;
+every library constructor that takes one calls it when it is built.
 """
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ import os
 import numpy as np
 
 DEFAULT_SIZE_CAP = 20  # largest m for which 2**m arrays may be materialized
+PROB_ATOL = 1e-9  # a probability this far below 0 is rounding, clipped to 0
+SUM_ATOL = 1e-6   # a distribution's total may be this far from 1
 
 
 class SizeCapError(Exception):
@@ -40,12 +45,27 @@ def check_size(m: int, what: str = "array") -> None:
 
 
 def check_finite(a: np.ndarray, what: str = "probs") -> np.ndarray:
-    """``a``, refused with ValueError if any entry is NaN or infinite.  Every
-    ordering test reads False for NaN, so checks of a distribution's sign and
-    sum pass one unless this runs too."""
+    """``a``, refused with ValueError if any entry is NaN or infinite."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     return a
+
+
+def check_distribution(p, what: str, axis: int = -1) -> np.ndarray:
+    """``p`` as float64, clipped at 0, refused with ValueError unless every
+    slice along ``axis`` is finite, has no entry below -PROB_ATOL, and totals 1
+    within SUM_ATOL.  NaN and -inf fail the sign test and +inf the total's, so
+    finiteness is read only to word a refusal.  Runs at build, never per draw."""
+    p = np.asarray(p, dtype=np.float64)
+    if not p.min(initial=0.0) >= -PROB_ATOL:
+        check_finite(p, what)
+        raise ValueError(f"{what} has negative entries")
+    total = p.sum(axis=axis)
+    off = ~(np.abs(total - 1.0) <= SUM_ATOL)
+    if off.any():
+        check_finite(p, what)
+        raise ValueError(f"{what} must sum to 1 (got {float(total[off].flat[0])})")
+    return np.maximum(p, 0.0)
 
 
 def num_bits(size: int) -> int:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import config as configmod
-from . import experiments, oracle
+from . import experiments, oracle, readout
 from .bits import SizeCapError
 from .mitigation import (GeneralWeights, LayeredWeights, SingularChannelError,
                          TensoredWeights, overhead_bound, shot_budget,
@@ -145,13 +145,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                                         seed=cfg["seed"], workers=args.workers)
     payload = {"m": m, "shots": cfg["shots"], "q_hat": q_hat.tolist(),
                "eta_hat": float(1 - q_hat[0])}
-    if noise.model is not None and m <= 16:
-        from .readout import total_variation_distance
-        q_true = noise.model.expand()
-        payload["q_true"] = q_true.tolist()
-        payload["tvd"] = total_variation_distance(q_hat, q_true)
-    w = GeneralWeights(q_hat)
-    payload["xi_hat"] = w.xi
+    model = noise.symmetrized()  # the exact channel that q_hat estimates
+    if model is not None and m <= 16:
+        q_true = model.expand()
+        payload.update(q_true=q_true.tolist(),
+                       tvd=readout.total_variation_distance(q_hat, q_true))
+    payload["xi_hat"] = GeneralWeights(q_hat).xi
     _emit(payload, cfg["out"])
     return 0
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .bits import check_finite, fwht, num_bits, parity, split_index
+from .bits import check_distribution, fwht, num_bits, parity, split_index
 from .readout import GeneralModel, LayeredModel, SyndromeModel, TensoredModel
 
 SINGULAR_ATOL = 1e-12
@@ -73,7 +73,7 @@ class ChannelInverse:
     channel costs two transforms each."""
 
     def __init__(self, q):
-        self.q = check_finite(np.asarray(q, dtype=np.float64), "q")
+        self.q = check_distribution(q, "q")
         self._spectrum = _spectrum(self.q)
 
     def __call__(self, v) -> np.ndarray:
@@ -87,7 +87,7 @@ class GeneralWeights(MitigationWeights):
     """Weights for an arbitrary joint q; O(m 2**m) init, O(1) per draw."""
 
     def __init__(self, q):
-        self.q = check_finite(np.asarray(q, dtype=np.float64), "q")
+        self.q = check_distribution(q, "q")
         self.m = num_bits(self.q.size)
         self._alpha = fwht(1.0 / _spectrum(self.q)) / self.q.size  # Q^{-1} e_0
         self.xi = float(np.abs(self._alpha).sum())
@@ -180,9 +180,10 @@ def overhead_bound(eta: float) -> float:
 
 def shot_budget(xi: float, n_target: int) -> int:
     """Shots needed to match the precision of n_target noiseless shots."""
-    if n_target < 0:
-        raise ValueError("n_target must be non-negative")
-    return math.ceil(xi * xi * n_target)
+    shots = xi * xi * n_target
+    if not (xi >= 0 and n_target >= 0 and shots < math.inf):
+        raise ValueError("xi and n_target must be non-negative, and the budget finite")
+    return math.ceil(shots)
 
 
 def sensitivity_bound(xi: float, d: float, norm: float = 1.0) -> float:
@@ -193,9 +194,9 @@ def sensitivity_bound(xi: float, d: float, norm: float = 1.0) -> float:
     and xi itself move by at most 2 xi^2 d / (1 - 2 xi d) (times the spectral
     norm for the expectation).  Valid only while 2 xi d < 1.
     """
-    if d < 0:
+    if not d >= 0:
         raise ValueError("distance must be non-negative")
-    if 2.0 * xi * d >= 1.0:
+    if not 2.0 * xi * d < 1.0:
         raise ValueError("sensitivity bound requires 2*xi*d < 1")
     return 2.0 * xi * xi * d / (1.0 - 2.0 * xi * d) * norm
 

@@ -11,6 +11,9 @@ Asymmetric hardware is described by a column-stochastic confusion matrix
 M[reported, true]; bit-flip averaging (X-twirl around the measurement plus a
 classical flip of the report) turns it into the symmetrized channel
 q[s] = 2^{-m} mean_t M[t ^ s, t].
+
+Every distribution a constructor here takes, confusion-matrix columns and
+calibration histograms too, passes ``bits.check_distribution`` when built.
 """
 from __future__ import annotations
 
@@ -18,23 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import (AliasSampler, alias_lookup, alias_tables, check_finite, check_size,
+from .bits import (AliasSampler, alias_lookup, alias_tables, check_distribution, check_size,
                    num_bits, sample_independent_bits)
-
-PROB_ATOL = 1e-9
-
-
-def _validate_distribution(q: np.ndarray, name: str = "q") -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError(f"{name} must be 1-D")
-    num_bits(q.size)
-    check_finite(q, name)
-    if np.any(q < -PROB_ATOL):
-        raise ValueError(f"{name} has negative entries")
-    if abs(q.sum() - 1.0) > 1e-6:
-        raise ValueError(f"{name} must sum to 1 (got {q.sum()!r})")
-    return np.clip(q, 0.0, None)
 
 
 def total_error(q) -> float:
@@ -43,8 +31,7 @@ def total_error(q) -> float:
 
 
 def total_variation_distance(q, qp) -> float:
-    q = np.asarray(q, dtype=np.float64)
-    qp = np.asarray(qp, dtype=np.float64)
+    q, qp = check_distribution(q, "q"), check_distribution(qp, "q'")
     if q.shape != qp.shape:
         raise ValueError("distributions must have equal length")
     return float(0.5 * np.abs(q - qp).sum())
@@ -73,14 +60,7 @@ class ConfusionMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("confusion matrix must be square")
         self.m_bits = num_bits(m.shape[0])
-        col = m.sum(axis=0)
-        # a NaN or infinite entry leaves its column's sum NaN or infinite
-        check_finite(col, "confusion matrix")
-        if np.any(m < -PROB_ATOL):
-            raise ValueError("confusion matrix has negative entries")
-        if np.any(np.abs(col - 1.0) > 1e-6):
-            raise ValueError("confusion matrix columns must sum to 1")
-        self.matrix = np.clip(m, 0.0, None)
+        self.matrix = check_distribution(m, "confusion matrix column", axis=0)
         # per true outcome (row), its column's alias keep probabilities and
         # aliases, built on the first draw
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
@@ -150,7 +130,9 @@ class GeneralModel(SyndromeModel):
     _sampler: AliasSampler | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.q = _validate_distribution(self.q)
+        self.q = check_distribution(self.q, "q")
+        if self.q.ndim != 1:
+            raise ValueError("q must be 1-D")
         self.m = num_bits(self.q.size)
 
     def expand(self) -> np.ndarray:
@@ -248,10 +230,8 @@ def calibrate(reported_counts) -> np.ndarray:
     """
     c = np.asarray(reported_counts, dtype=np.float64)
     num_bits(c.size)
-    check_finite(c, "counts")
-    if np.any(c < 0):
-        raise ValueError("counts must be non-negative")
-    total = c.sum()
-    if total <= 0:
-        raise ValueError("counts must not be all zero")
-    return c / total
+    if np.any(c < 0) or not c.any():
+        raise ValueError("counts must be finite, non-negative and not all zero")
+    # an infinite count or total divides to NaN or to 0s, which the check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return check_distribution(c / c.sum(), "counts")

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -232,6 +233,38 @@ def test_calibrate_drops_the_terminal_channel(tmp_path, capsys):
         assert cli.main(["calibrate", "--config", cfg]) == 0
         q_hats.append(json.loads(capsys.readouterr().out)["q_hat"])
     assert q_hats[0] == q_hats[1]
+
+
+def test_calibrate_reports_the_tvd_of_asymmetric_bfa_noise(tmp_path, capsys):
+    """Under bit-flip averaging each reported outcome is an iid draw of the
+    symmetrized channel, so q_hat's TVD to it stays under the
+    Bretagnolle-Huber-Carol bound, at failure probability 1e-9."""
+    matrix = [[0.9506, 0.0392, 0.0485, 0.002], [0.0294, 0.9408, 0.0015, 0.048],
+              [0.0194, 0.0008, 0.9215, 0.038], [0.0006, 0.0192, 0.0285, 0.912]]
+    shots = 20000
+    cfg = write(tmp_path, "cfg.json", {
+        "experiment": "calibration", "parameters": {"m": 2}, "shots": shots, "seed": 4,
+        "noise": {"kind": "asymmetric", "bfa": True, "matrices": [matrix]}})
+    assert cli.main(["calibrate", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["q_true"] == ConfusionMatrix(matrix).symmetrize().tolist()
+    bound = math.sqrt(2 * (4 * math.log(2) + math.log(1e9)) / shots) / 2
+    assert 0 < payload["tvd"] < bound
+
+
+@pytest.mark.parametrize("noise, message", [
+    ({"kind": "general", "q": [1.2, -0.2]}, "q has negative entries"),
+    ({"kind": "asymmetric", "matrices": [[[0.9, 0.1], [0.1, 0.8]]]},
+     "confusion matrix column must sum to 1 (got 0.9)"),
+    ({"kind": "uniform", "m": 1, "rate": 0.1, "terminal": {"kind": "general", "q": [1.0, 1.0]}},
+     "q must sum to 1 (got 2.0)"),
+], ids=["general-negative", "asymmetric-column", "terminal-sum"])
+def test_bad_distributions_end_in_one_plain_error_line(tmp_path, capsys, noise, message):
+    """A noise table that is not a distribution is refused by the library's one
+    check, and its total prints as a plain number, not a numpy repr."""
+    cfg = write(tmp_path, "cfg.json", {"experiment": "reset", "noise": noise})
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: bad noise spec: {message}\n"
 
 
 @pytest.mark.parametrize("command, cfg, where", [

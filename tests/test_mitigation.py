@@ -7,6 +7,8 @@ from oracles import (alpha_by_linear_solve, project_by_waterfill, random_distrib
                      weights_alpha_by_kind, weights_sample_by_kind)
 from promkit import mitigation, readout
 
+NAN, INF = float("nan"), float("inf")
+
 
 def test_alpha_known_single_bit():
     w = mitigation.GeneralWeights([0.9, 0.1])
@@ -195,6 +197,10 @@ def test_overhead_bound():
 def test_shot_budget():
     assert mitigation.shot_budget(1.5625, 1000) == 2442
     assert mitigation.shot_budget(1.0, 10) == 10
+    # an infinite budget is refused with ValueError, not left to math.ceil
+    for xi, n in ((NAN, 1), (INF, 1), (1e200, 1), (2.0, NAN), (2.0, INF), (-1.0, 1), (1.0, -1)):
+        with pytest.raises(ValueError):
+            mitigation.shot_budget(xi, n)
 
 
 def test_sensitivity_bound():
@@ -203,6 +209,10 @@ def test_sensitivity_bound():
     assert mitigation.sensitivity_bound(1.25, 0.1) == pytest.approx(0.41666667)
     with pytest.raises(ValueError):
         mitigation.sensitivity_bound(1.25, 0.4)  # 2*xi*d = 1
+    # NaN passes every ordering test written the other way round
+    for xi, d in ((NAN, 0.01), (2.0, NAN), (INF, 0.0), (2.0, INF), (1.25, -0.1)):
+        with pytest.raises(ValueError):
+            mitigation.sensitivity_bound(xi, d)
 
 
 def test_raw_error_bound():

@@ -160,20 +160,57 @@ def test_distribution_validation():
         readout.GeneralModel([0.5, 0.25, 0.25])  # not a power of two
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("build, entries", [
-    pytest.param(readout.GeneralModel, [0.5, None], id="GeneralModel"),
-    pytest.param(readout.ConfusionMatrix, [[0.9, 0.5], [0.1, None]], id="ConfusionMatrix"),
-    pytest.param(AliasSampler, [0.5, None], id="AliasSampler"),
-    pytest.param(mitigation.GeneralWeights, [0.9, None], id="GeneralWeights"),
-    pytest.param(mitigation.GeneralWeights, [None, 0.1], id="GeneralWeights-first"),
-    pytest.param(mitigation.ChannelInverse, [0.9, None], id="ChannelInverse"),
-    pytest.param(readout.calibrate, [90, None], id="calibrate"),
+# one slice of a distribution, spoiled past the one check's tolerances (the
+# message names what is wrong), or within them ("rounding", "total-within")
+SLICES = {"nan": ([0.9, np.nan], "finite"), "inf": ([0.9, np.inf], "finite"),
+          "-inf": ([0.9, -np.inf], "finite"), "negative": ([1 + 2e-9, -2e-9], "negative"),
+          "unnormalized": ([0.9, 0.1 + 2e-6], "sum to 1"),
+          "rounding": ([1 + 5e-10, -5e-10], None), "total-within": ([0.9, 0.1 + 5e-7], None)}
+
+
+def _keeps_nothing(call):
+    """An entry point that keeps no distribution to read back."""
+    def build(p):
+        call(p)
+    return build
+
+
+# every entry point builds from one slice, and returns the distribution it
+# keeps or None
+DISTRIBUTION_ENTRY_POINTS = {
+    "GeneralModel": lambda p: readout.GeneralModel(p).q,
+    "ConfusionMatrix":  # the bad slice is one column
+        lambda p: readout.ConfusionMatrix(np.column_stack([[0.8, 0.2], p])).matrix[:, 1],
+    "GeneralWeights": lambda p: mitigation.GeneralWeights(p).q,
+    "GeneralWeights-first": lambda p: mitigation.GeneralWeights(p[::-1]).q[::-1],
+    "ChannelInverse": lambda p: mitigation.ChannelInverse(p).q,
+    "terminal_rem": _keeps_nothing(lambda p: mitigation.terminal_rem([60.0, 40.0], p)),
+    "total_variation_distance":
+        _keeps_nothing(lambda p: readout.total_variation_distance(p, [0.5, 0.5])),
+    "total_variation_distance-second":
+        _keeps_nothing(lambda p: readout.total_variation_distance([0.5, 0.5], p)),
+}
+# alias weights need no normalization, and counts are normalized by calibrate,
+# but neither takes a non-finite or negative entry
+WEIGHT_ENTRY_POINTS = {"AliasSampler": AliasSampler, "calibrate": readout.calibrate}
+
+
+@pytest.mark.parametrize("name, spoil", [
+    *(pytest.param(name, spoil, id=f"{name}-{spoil}")
+      for name in DISTRIBUTION_ENTRY_POINTS for spoil in SLICES),
+    *(pytest.param(name, spoil, id=f"{name}-{spoil}")
+      for name in WEIGHT_ENTRY_POINTS for spoil in ("nan", "inf", "-inf", "negative")),
 ])
-def test_non_finite_distributions_are_refused(build, entries, bad):
-    # None marks the entry that reads ``bad``; a NaN fails no ordering test
-    # of the other checks
-    a = np.array(entries, dtype=np.float64)
-    a[np.isnan(a)] = bad
-    with pytest.raises(ValueError, match="finite"):
-        build(a)
+def test_non_finite_distributions_are_refused(name, spoil):
+    """Every library entry point that takes a distribution refuses a NaN, an
+    infinite or a negative entry, and a total off 1, with ValueError; within
+    the tolerances it accepts the slice and clips the rounding to exactly 0."""
+    entries, match = SLICES[spoil]
+    build = DISTRIBUTION_ENTRY_POINTS.get(name) or WEIGHT_ENTRY_POINTS[name]
+    if match is not None:
+        with pytest.raises(ValueError, match=match):
+            build(np.array(entries))
+        return
+    kept = build(np.array(entries))
+    if kept is not None:
+        assert kept[1] == (0.0 if spoil == "rounding" else entries[1])
